@@ -23,7 +23,7 @@ from repro.analysis import (
     survival_probability,
 )
 from repro.core import bus_degree_bound, ft_degree_bound, sp_node_count
-from repro.analysis.reporting import format_table
+from repro.reports import format_table
 
 
 def main() -> int:

@@ -29,9 +29,9 @@ from repro.analysis.dilation import DilationProfile, dilation_profile
 from repro.analysis.reporting import (
     Report,
     all_experiment_ids,
-    format_table,
     run_experiment,
 )
+from repro.reports.tables import format_table
 
 __all__ = [
     "ComparisonRow",

@@ -16,8 +16,9 @@ turns that into the reliability numbers a systems audience asks for:
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
-from scipy import stats as sstats
 
 from repro.errors import ParameterError
 
@@ -37,7 +38,49 @@ def survival_probability(n_target: int, k: int, q: float) -> float:
         raise ParameterError(f"failure probability must be in [0,1], got {q}")
     if k < 0 or n_target <= 0:
         raise ParameterError("need n_target > 0 and k >= 0")
-    return float(sstats.binom.cdf(k, n_target + k, q))
+    return _binomial_cdf(k, n_target + k, q)
+
+
+#: Relative size below which the remaining tail terms are dropped; the
+#: terms are log-concave, so what is left sums to far below one ulp.
+_NEGLIGIBLE = 2.0 ** -70
+
+
+def _binomial_cdf(k: int, n: int, q: float) -> float:
+    """P(X <= k) for X ~ Binomial(n, q) and 0 <= k < n, to a few ulps,
+    stdlib only.
+
+    Sums the smaller side of the distribution: the lower tail when ``k``
+    is below the mode, else the upper tail, returned as ``1 - upper``.
+    Either way the terms shrink monotonically away from the tail's
+    boundary term, so they are generated by the pmf ratio recurrence
+    relative to that term (no overflow or underflow at any ``n``) and
+    summed with :func:`math.fsum`; only the boundary term goes through
+    logarithms, with the exact integer binomial coefficient.
+    """
+    if q == 0.0:
+        return 1.0
+    if q == 1.0:  # all n > k nodes fail
+        return 0.0
+    odds = q / (1.0 - q)
+    upper = k >= int((n + 1) * q)
+    i = anchor = k + 1 if upper else k
+    terms = [1.0]
+    t = 1.0
+    if upper:
+        while i < n and t > _NEGLIGIBLE:
+            t *= (n - i) * odds / (i + 1)
+            i += 1
+            terms.append(t)
+    else:
+        while i > 0 and t > _NEGLIGIBLE:
+            t *= i / ((n - i + 1) * odds)
+            i -= 1
+            terms.append(t)
+    log_anchor = (math.log(math.comb(n, anchor)) + anchor * math.log(q)
+                  + (n - anchor) * math.log1p(-q))
+    tail = math.exp(log_anchor) * math.fsum(terms)
+    return 1.0 - tail if upper else tail
 
 
 def bare_survival_probability(n_target: int, q: float) -> float:

@@ -37,6 +37,7 @@ from repro.core import (
     verify_bus_embedding,
 )
 from repro.core.debruijn import debruijn_directed_successors
+from repro.reports.tables import format_table
 from repro.viz.ascii_art import adjacency_listing, bus_listing, relabeled_listing
 
 __all__ = ["Report", "all_experiment_ids", "run_experiment", "main"]
@@ -58,20 +59,6 @@ class Report:
             lines.append("-" * 72)
             lines.append("metrics: " + ", ".join(f"{k}={v}" for k, v in self.metrics.items()))
         return "\n".join(lines) + "\n"
-
-
-def format_table(rows: list[dict]) -> str:
-    """Minimal aligned-column table for report bodies."""
-    if not rows:
-        return "(empty)"
-    cols = list(rows[0].keys())
-    widths = {c: max(len(str(c)), *(len(str(r.get(c, ""))) for r in rows)) for c in cols}
-    head = " | ".join(str(c).ljust(widths[c]) for c in cols)
-    sep = "-+-".join("-" * widths[c] for c in cols)
-    body = [
-        " | ".join(str(r.get(c, "")).ljust(widths[c]) for c in cols) for r in rows
-    ]
-    return "\n".join([head, sep] + body)
 
 
 # ---------------------------------------------------------------------------

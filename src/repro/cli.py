@@ -131,7 +131,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
     import os
 
-    from repro.analysis.reporting import format_table
+    from repro.reports.tables import format_table
     from repro.reports import build_report, write_report_bundle
     from repro.simulator.pool import WorkerPool
 
@@ -304,7 +304,7 @@ def _install_signal_handlers() -> None:
 def _cmd_run(args: argparse.Namespace) -> int:
     import json
 
-    from repro.analysis.reporting import format_table
+    from repro.reports.tables import format_table
     from repro.experiments import run_grid
     from repro.simulator.pool import WorkerPool
     from repro.simulator.shard_driver import ShardStats
@@ -452,7 +452,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     import time
     import warnings
 
-    from repro.analysis.reporting import format_table
+    from repro.reports.tables import format_table
     from repro.simulator.shard_driver import ScenarioGrid, run_grid
 
     # the stderr note is what a terminal user actually sees (Python's
@@ -538,7 +538,7 @@ def _cmd_saturate(args: argparse.Namespace) -> int:
     import json
     import warnings
 
-    from repro.analysis.reporting import format_table
+    from repro.reports.tables import format_table
     from repro.experiments import ExperimentSpec
     from repro.simulator.streaming import find_saturation
 

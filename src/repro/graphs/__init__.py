@@ -29,12 +29,24 @@ from repro.graphs.isomorphism import (
     is_subgraph_embeddable,
     verify_embedding,
 )
-from repro.graphs.nx_bridge import (
-    from_networkx,
-    nx_is_subgraph_isomorphic,
-    nx_node_connectivity,
-    to_networkx,
-)
+
+#: The networkx bridge exists to cross-validate against networkx, which
+#: is a test-only extra: its names load on first access (PEP 562), so
+#: ``import repro`` never imports networkx.
+_NX_BRIDGE = frozenset({
+    "from_networkx",
+    "nx_is_subgraph_isomorphic",
+    "nx_node_connectivity",
+    "to_networkx",
+})
+
+
+def __getattr__(name: str):
+    if name in _NX_BRIDGE:
+        from repro.graphs import nx_bridge
+
+        return getattr(nx_bridge, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "StaticGraph",

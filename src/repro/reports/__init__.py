@@ -36,6 +36,7 @@ from repro.reports.plan import (
 from repro.reports import definitions  # noqa: F401  (registers the reports)
 from repro.reports.tables import (
     delivery_columns,
+    format_table,
     pooled_delivery,
     render_csv,
     render_markdown,
@@ -52,6 +53,7 @@ __all__ = [
     "canonical_json",
     "cell_payload",
     "delivery_columns",
+    "format_table",
     "pooled_delivery",
     "registry_versions",
     "render_csv",

@@ -11,7 +11,8 @@ no multi-million-packet sample is ever materialized.
 
 Rendering is CSV + GitHub-flavored markdown, both derived from the same
 :class:`~repro.reports.plan.ReportTable` rows so the two artifacts can
-never disagree.
+never disagree; :func:`format_table` is the aligned plain-text table the
+CLI prints.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from repro.simulator.shard_driver import ExperimentResult, ShardStats
 
 __all__ = [
     "delivery_columns",
+    "format_table",
     "pooled_delivery",
     "render_csv",
     "render_markdown",
@@ -130,3 +132,17 @@ def render_markdown(table) -> str:
         lines.append("| " + " | ".join(values) + " |")
     lines.append("")
     return "\n".join(lines)
+
+
+def format_table(rows: list[dict]) -> str:
+    """Minimal aligned-column table for terminal output and report bodies."""
+    if not rows:
+        return "(empty)"
+    cols = list(rows[0].keys())
+    widths = {c: max(len(str(c)), *(len(str(r.get(c, ""))) for r in rows)) for c in cols}
+    head = " | ".join(str(c).ljust(widths[c]) for c in cols)
+    sep = "-+-".join("-" * widths[c] for c in cols)
+    body = [
+        " | ".join(str(r.get(c, "")).ljust(widths[c]) for c in cols) for r in rows
+    ]
+    return "\n".join([head, sep] + body)

@@ -77,9 +77,13 @@ class EventQueue:
         while self._heap and self._heap[0].cycle <= cycle:
             yield heapq.heappop(self._heap)
 
-    def run_handlers(self, cycle: int, handlers: dict[str, Callable[[Event], None]]) -> int:
-        """Dispatch due events to per-kind handlers; unknown kinds raise.
-        Returns the number of events dispatched.
+    def run_handlers(self, cycle: int, handlers: dict[str, Callable[..., None]],
+                     *args: Any) -> int:
+        """Dispatch due events to per-kind handlers, each called as
+        ``handler(*args, event)``; unknown kinds raise.  Returns the
+        number of events dispatched.  ``args`` lets an owner pass a
+        class-level table of plain functions plus itself, rather than
+        keep bound methods of itself (a reference cycle) on the instance.
 
         The handler is resolved *before* the event is popped, so an
         unknown kind leaves the event (and everything behind it) on the
@@ -98,6 +102,6 @@ class EventQueue:
                     f"no handler for event kind {ev.kind!r}"
                 ) from None
             heapq.heappop(self._heap)
-            handler(ev)
+            handler(*args, ev)
             count += 1
         return count

@@ -452,10 +452,6 @@ class ReconfigurationController:
         #: driver's pre-routed arrival calendar) re-lift through φ when
         #: it moves
         self.routing_epoch = 0
-        self._handlers = {
-            "node_fault": self._on_fault,
-            "node_repair": self._on_repair,
-        }
 
     def schedule(self, scenario: FaultScenario) -> None:
         """Add a :class:`FaultScenario`'s events to the controller's queue
@@ -469,7 +465,7 @@ class ReconfigurationController:
         :func:`repro.simulator.streaming.run_stream` — call this at the
         top of every simulated cycle so faults land exactly on time."""
         due = self.sim.cycle if cycle is None else int(cycle)
-        return self.events.run_handlers(due, self._handlers)
+        return self.events.run_handlers(due, self._EVENT_HANDLERS, self)
 
     def _on_fault(self, ev) -> None:
         node = int(ev.payload)
@@ -487,6 +483,11 @@ class ReconfigurationController:
         self.sim.enable_node(node)
         self.repair_log.append((self.sim.cycle, node))
         self.routing_epoch += 1
+
+    #: event kind -> handler, as plain functions: bound methods stored on
+    #: the instance would hold the controller (engine, route table) in a
+    #: reference cycle that only a full gc collects
+    _EVENT_HANDLERS = {"node_fault": _on_fault, "node_repair": _on_repair}
 
     def physical_router(self):
         """Current lifted router (closure over the live φ)."""
@@ -640,10 +641,6 @@ class DetourController:
         #: ReconfigurationController — streaming route caches key on it
         self.routing_epoch = 0
         self.events = EventQueue()
-        self._handlers = {
-            "node_fault": self._on_fault,
-            "node_repair": self._on_repair,
-        }
         # route_mode="table" epoch cache: one compiled table per frozen
         # fault set, invalidated by fail_node and repair_node (every
         # fault and repair event funnels through them)
@@ -659,7 +656,7 @@ class DetourController:
         """Fire every scheduled event due at or before ``cycle`` (default:
         the simulator's current cycle); returns the count fired."""
         due = self.sim.cycle if cycle is None else int(cycle)
-        return self.events.run_handlers(due, self._handlers)
+        return self.events.run_handlers(due, self._EVENT_HANDLERS, self)
 
     def _on_fault(self, ev) -> None:
         node = int(ev.payload)
@@ -670,6 +667,9 @@ class DetourController:
         node = int(ev.payload)
         self.repair_node(node)
         self.repair_log.append((self.sim.cycle, node))
+
+    #: plain functions, as on :class:`ReconfigurationController`
+    _EVENT_HANDLERS = {"node_fault": _on_fault, "node_repair": _on_repair}
 
     def repair_node(self, node: int) -> None:
         """Return a failed node to service: survivors stop detouring

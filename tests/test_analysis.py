@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import itertools
+import math
+
 import pytest
 
 from repro.analysis import (
@@ -144,3 +147,45 @@ class TestReliability:
         rows = reliability_table(64, k_values=(0, 2), q_values=(0.01,))
         assert len(rows) == 1
         assert rows[0]["k=2"] > rows[0]["bare"]
+
+
+class TestBinomialTail:
+    """``survival_probability`` is an exact stdlib binomial tail,
+    P(Binomial(n + k, q) <= k)."""
+
+    QS = (1e-12, 1e-6, 1e-3, 0.01, 0.1, 0.5, 0.9, 0.97, 1 - 1e-9)
+
+    def test_never_failing_nodes_always_survive(self):
+        for n, k in itertools.product((1, 64, 4096), (0, 1, 25, 4096)):
+            assert survival_probability(n, k, 0.0) == 1.0
+
+    def test_no_spares_is_all_alive(self):
+        for n, q in itertools.product((1, 2, 64, 4096), self.QS):
+            assert survival_probability(n, 0, q) == pytest.approx(
+                (1 - q) ** n, rel=1e-12, abs=0)
+
+    def test_always_failing_nodes_never_survive(self):
+        for n, k in itertools.product((1, 64, 4096), (0, 1, 25, 4096)):
+            assert survival_probability(n, k, 1.0) == 0.0
+
+    def test_large_machine_does_not_overflow(self):
+        for q in (0.0, 1e-6, 0.01, 0.5, 0.97, 1.0) + self.QS:
+            p = survival_probability(4096, 4096, q)
+            assert 0.0 <= p <= 1.0
+        # symmetric case, exactly: 1/2 + P(X = 4096) / 2 with X ~ Bin(8192, 1/2)
+        exact = 0.5 + math.comb(8192, 4096) / 2 ** 8193
+        assert survival_probability(4096, 4096, 0.5) == pytest.approx(exact, rel=1e-12)
+
+    def test_never_decreases_as_spares_grow(self):
+        for n, q in itertools.product((1, 16, 64, 4096), self.QS):
+            probs = [survival_probability(n, k, q) for k in range(150)]
+            assert all(a <= b for a, b in zip(probs, probs[1:])), (n, q)
+
+    def test_agrees_with_scipy(self):
+        stats = pytest.importorskip("scipy.stats")
+        grid = itertools.product((1, 64, 4096), (0, 1, 25, 4096),
+                                 (0.0, 1e-6, 0.01, 0.5, 0.97, 1.0))
+        for n, k, q in grid:
+            want = float(stats.binom.cdf(k, n + k, q))
+            got = survival_probability(n, k, q)
+            assert math.isclose(got, want, rel_tol=1e-12), (n, k, q, got, want)

@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
-import networkx as nx
 import pytest
 
-from repro.errors import GraphFormatError
-from repro.graphs import (
+nx = pytest.importorskip("networkx")
+
+from repro.errors import GraphFormatError  # noqa: E402
+from repro.graphs import (  # noqa: E402
     StaticGraph,
     from_networkx,
     hypercube,
@@ -14,7 +15,7 @@ from repro.graphs import (
     to_networkx,
 )
 
-from tests.conftest import random_graph
+from tests.conftest import random_graph  # noqa: E402
 
 
 class TestRoundTrip:

@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
-import networkx as nx
 import numpy as np
 import pytest
 
-from repro.errors import GraphFormatError
-from repro.graphs import (
+nx = pytest.importorskip("networkx")
+
+from repro.errors import GraphFormatError  # noqa: E402
+from repro.graphs import (  # noqa: E402
     StaticGraph,
     average_distance,
     bfs_distances,
@@ -23,7 +24,7 @@ from repro.graphs import (
     to_networkx,
 )
 
-from tests.conftest import random_graph
+from tests.conftest import random_graph  # noqa: E402
 
 
 class TestBFS:

@@ -48,6 +48,13 @@ class TestEventQueue:
         n = q.run_handlers(5, {"f": lambda ev: seen.append(ev.payload)})
         assert n == 1 and seen == [42]
 
+    def test_run_handlers_passes_leading_args(self):
+        q = EventQueue()
+        seen = []
+        q.schedule(1, "f", 42)
+        q.run_handlers(5, {"f": lambda owner, ev: owner.append(ev.payload)}, seen)
+        assert seen == [42]
+
     def test_unknown_kind(self):
         q = EventQueue()
         q.schedule(1, "weird")

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -179,3 +182,29 @@ class TestFaultScenario:
 
     def test_fault_count(self):
         assert FaultScenario([(0, 1)]).fault_count == 1
+
+
+@pytest.mark.parametrize("make", [
+    lambda: ReconfigurationController(2, 4, 1, engine="object"),
+    lambda: ReconfigurationController(2, 4, 1, engine="batch"),
+    lambda: DetourController(2, 4, engine="batch"),
+    lambda: DetourController(2, 4, engine="batch", route_mode="table"),
+], ids=["reconfig-object", "reconfig-batch", "detour-bfs", "detour-table"])
+def test_finished_controller_freed_without_gc(make, rng):
+    """A controller holds its engine and route table; once dropped it
+    must be freed by reference counting alone, not left in a cycle for
+    a full collection to find."""
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        ctrl = make()
+        ctrl.schedule(FaultScenario([(1, 3)]))
+        ctrl.run_workload([uniform_traffic(16, 40, rng) for _ in range(3)])
+        assert ctrl.fault_log
+        ref, engine_ref = weakref.ref(ctrl), weakref.ref(ctrl.sim)
+        del ctrl
+        assert ref() is None
+        assert engine_ref() is None
+    finally:
+        if was_enabled:
+            gc.enable()
