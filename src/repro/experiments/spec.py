@@ -1,11 +1,10 @@
 """The unified experiment specification: one declarative, serializable
 record that drives every kind of run.
 
-:class:`ExperimentSpec` subsumes the two scenario systems that grew in
-parallel — the closed-loop ``Scenario`` (inject fixed batches, drain to
-completion) and the open-loop ``StreamScenario`` (a seeded arrival
-process at a target rate over a fixed horizon).  One frozen dataclass
-now describes either, selected by ``loop="closed" | "stream"``, with
+:class:`ExperimentSpec` describes both kinds of run — a closed loop
+(inject fixed batches, drain to completion) and an open-loop stream (a
+seeded arrival process at a target rate over a fixed horizon) — in one
+frozen dataclass, selected by ``loop="closed" | "stream"``, with
 
 * **registry-validated fields** — ``pattern``, ``source``, ``engine``,
   ``controller`` and ``route_mode`` are checked against the live
@@ -41,8 +40,7 @@ now describes either, selected by ``loop="closed" | "stream"``, with
 Running a spec (:meth:`ExperimentSpec.run`) returns an
 :class:`ExperimentResult`: closed-loop runs carry mergeable
 :class:`~repro.simulator.shard_driver.ShardStats`, stream runs carry
-:class:`~repro.simulator.metrics.StreamStats`; the legacy result names
-(``ScenarioResult``, ``StreamPointResult``) are aliases of it.
+:class:`~repro.simulator.metrics.StreamStats`.
 
 >>> spec = ExperimentSpec(m=2, h=4, k=1, loop="closed", packets=40)
 >>> ExperimentSpec.from_json(spec.to_json()) == spec
@@ -72,8 +70,11 @@ from repro.simulator.faults import (
     realize_fault_model,
     validate_fault_model,
 )
-from repro.simulator.metrics import PacketArrays
-from repro.simulator.shard_driver import ExperimentResult, ShardStats
+from repro.simulator.shard_driver import (
+    ExperimentResult,
+    ShardStats,
+    _records_of,
+)
 from repro.simulator.sources import SOURCES, TrafficSource, make_source
 from repro.simulator.traffic import PATTERNS, make_pattern
 
@@ -94,13 +95,6 @@ LOOPS = ("closed", "stream")
 #: ``"sharded"`` engine would spawn pools-within-pools and has no
 #: packet records to reduce) — grid parallelism comes from the sweep.
 _SPEC_ENGINES = ("object", "batch")
-
-
-def _records_of(sim) -> PacketArrays:
-    """Structure-of-arrays packet records from either in-process engine."""
-    if hasattr(sim, "packet_records"):
-        return sim.packet_records()
-    return PacketArrays.from_packets(sim.packets)
 
 
 def _spare_demand(faults, repairs) -> int:
@@ -193,8 +187,8 @@ class ExperimentSpec:
 
     Every field is validated in ``__post_init__`` — registry names
     against the live registries, cross-field constraints (spare budget,
-    shard preconditions, warmup bounds) with the same messages the
-    legacy classes raised — so an invalid spec never reaches a worker.
+    shard preconditions, warmup bounds) — so an invalid spec never
+    reaches a worker.
     """
 
     m: int
@@ -343,8 +337,8 @@ class ExperimentSpec:
 
     @property
     def label(self) -> str:
-        """Human-readable cell label (matches the legacy scenario labels,
-        so published sweep rows read the same)."""
+        """Human-readable cell label (the ``scenario`` column of every
+        published row)."""
         parts = [f"B^{self.k}_{{{self.m},{self.h}}}"]
         if self.loop == "stream":
             parts.append(f"{self.source}({self.rate:g}/cy)")
@@ -791,17 +785,26 @@ def parse_run_payload(payload, *, origin: str = "request"):
     """
     if not isinstance(payload, dict):
         raise ParameterError(f"{origin}: expected a JSON object")
-    for wrapper, cls in (("grid", ExperimentGrid), ("experiment", ExperimentSpec)):
-        if wrapper in payload:
-            # the wrapper form must wrap *only* — a field that drifted up
-            # to the top level (a misplaced axis, a typo'd sibling) would
-            # otherwise be dropped silently and the run would use defaults
-            extras = sorted(set(payload) - {wrapper})
-            if extras:
-                raise ParameterError(
-                    f"{origin}: unexpected keys {extras} next to "
-                    f"{wrapper!r} — every field belongs inside the "
-                    f"{wrapper!r} object"
-                )
-            return cls.from_dict(payload[wrapper]), wrapper
-    return ExperimentSpec.from_dict(payload), "experiment"
+    try:
+        for wrapper, cls in (("grid", ExperimentGrid),
+                             ("experiment", ExperimentSpec)):
+            if wrapper in payload:
+                # the wrapper form must wrap *only* — a field that drifted
+                # up to the top level (a misplaced axis, a typo'd sibling)
+                # would otherwise be dropped silently and the run would
+                # use defaults
+                extras = sorted(set(payload) - {wrapper})
+                if extras:
+                    raise ParameterError(
+                        f"{origin}: unexpected keys {extras} next to "
+                        f"{wrapper!r} — every field belongs inside the "
+                        f"{wrapper!r} object"
+                    )
+                return cls.from_dict(payload[wrapper]), wrapper
+        return ExperimentSpec.from_dict(payload), "experiment"
+    except ParameterError:
+        raise
+    except (TypeError, ValueError) as exc:
+        # a wrong-typed field value ("x" for an int, null for a float)
+        # fails inside the dataclass conversions
+        raise ParameterError(f"{origin}: invalid field value: {exc}") from exc

@@ -38,7 +38,7 @@ import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, urlparse
 
-from repro.errors import ParameterError, ReproError
+from repro.errors import ReproError
 from repro.service.jobs import TERMINAL, JobQueue, JobRunner
 
 __all__ = ["ExperimentService", "serve"]
@@ -259,8 +259,14 @@ class _Handler(BaseHTTPRequestHandler):
 
         try:
             length = int(self.headers.get("Content-Length") or 0)
+        except ValueError:
+            return self._error(400, "Content-Length must be an integer")
+        if length < 0:
+            # rfile.read(-1) would block until the client hangs up
+            return self._error(400, "Content-Length must be >= 0")
+        try:
             payload = json.loads(self.rfile.read(length) or b"null")
-        except (ValueError, json.JSONDecodeError) as exc:
+        except ValueError as exc:
             return self._error(400, f"request body is not JSON: {exc}")
         query = parse_qs(url.query)
         try:
@@ -271,8 +277,6 @@ class _Handler(BaseHTTPRequestHandler):
         # ParameterError message and no worker is ever touched
         try:
             target, kind = parse_run_payload(payload, origin="POST /experiments")
-        except ParameterError as exc:
-            return self._error(400, str(exc))
         except ReproError as exc:
             return self._error(400, str(exc))
         job = self.svc.queue.submit(kind, target, _expand(target, kind),

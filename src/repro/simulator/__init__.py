@@ -17,18 +17,18 @@ Three interchangeable engines implement the store-and-forward model:
 
 The fault controllers (:class:`ReconfigurationController`,
 :class:`DetourController`) accept ``engine="object" | "batch" |
-"sharded"``.  Scenario *sweeps* — grids over sizes, patterns, fault
-sets and seeds — run multi-process through :func:`run_grid` /
-:class:`ScenarioGrid` (also the CLI ``sweep`` subcommand).
+"sharded"``.  Sweeps — :class:`~repro.experiments.ExperimentGrid`s
+over sizes, patterns, loads or rates, fault sets and seeds — run
+multi-process through :func:`run_grid` (CLI: ``repro run``).
 
 Two ways to load the machine:
 
 * **closed loop** — inject fixed batches and drain them
   (``run_workload``); measures makespan and per-batch latency;
 * **open loop** — stream arrivals per cycle from a seeded
-  :class:`TrafficSource` (``run_stream`` / :func:`load_sweep` /
-  :func:`find_saturation`; CLI ``saturate``); measures sustained
-  throughput, backlog growth, and the saturation point.
+  :class:`TrafficSource` (``run_stream`` / :func:`find_saturation`;
+  CLI ``repro run SPEC.json --rates``); measures sustained throughput,
+  backlog growth, and the saturation point.
 """
 
 from repro.simulator.events import Event, EventQueue
@@ -72,9 +72,6 @@ from repro.simulator.pool import GraphHandle, WorkerPool
 from repro.simulator.shard_driver import (
     ExperimentResult,
     GridResult,
-    Scenario,
-    ScenarioGrid,
-    ScenarioResult,
     ShardDriver,
     ShardedEngine,
     ShardStats,
@@ -91,10 +88,7 @@ from repro.simulator.sources import (
 )
 from repro.simulator.streaming import (
     SaturationResult,
-    StreamPointResult,
-    StreamScenario,
     find_saturation,
-    load_sweep,
     run_stream,
 )
 
@@ -107,12 +101,9 @@ __all__ = [
     "TrafficSource",
     "make_source",
     "SaturationResult",
-    "StreamPointResult",
-    "StreamScenario",
     "StreamStats",
     "WindowSeries",
     "find_saturation",
-    "load_sweep",
     "run_stream",
     "stream_summary",
     "window_series",
@@ -149,9 +140,6 @@ __all__ = [
     "ExperimentResult",
     "GraphHandle",
     "GridResult",
-    "Scenario",
-    "ScenarioGrid",
-    "ScenarioResult",
     "ShardDriver",
     "ShardedEngine",
     "ShardStats",

@@ -25,7 +25,7 @@ workers *alive across map calls*:
 
 :class:`~repro.simulator.shard_driver.ShardDriver` is a thin facade over
 this class: it either *borrows* a caller-supplied pool (the warm path —
-``run_grid``/``load_sweep``/``find_saturation`` thread one pool through
+``run_grid`` and ``find_saturation`` thread one pool through
 a whole sweep) or manages an ephemeral one per ``map`` call
 (bit-identical to the historical behavior).
 

@@ -35,10 +35,9 @@ scenarios are tiny and plentiful.
 Entry points
 ------------
 :func:`run_grid`           sweep specs/grids across workers (accepts
-                           :class:`~repro.experiments.ExperimentGrid`,
+                           :class:`~repro.experiments.ExperimentGrid` or
                            :class:`~repro.experiments.ExperimentSpec`
-                           lists, and the legacy scenario types; pass
-                           ``pool=`` to reuse warm workers)
+                           lists; pass ``pool=`` to reuse warm workers)
 :class:`ShardDriver`       the dispatch facade: borrows a warm
                            :class:`~repro.simulator.pool.WorkerPool` or
                            manages an ephemeral one per ``map`` call
@@ -47,13 +46,7 @@ Entry points
                            :mod:`repro.simulator.pool`)
 :class:`ShardedEngine`     ``engine="sharded"`` for the fault controllers
 :class:`ShardStats`        the mergeable statistics record
-:class:`ExperimentResult`  one executed spec's outcome (the legacy
-                           ``ScenarioResult``/``StreamPointResult``
-                           names alias it)
-
-The legacy :class:`Scenario` dataclass remains as a deprecation shim
-that builds an :class:`~repro.experiments.ExperimentSpec` internally and
-returns bit-identical statistics.
+:class:`ExperimentResult`  one executed spec's outcome
 
 Picking a worker count
 ----------------------
@@ -66,9 +59,7 @@ which is also the reference the equivalence tests compare against.
 
 from __future__ import annotations
 
-import itertools
 import time
-import warnings
 from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Sequence
 
@@ -90,9 +81,6 @@ from repro.simulator.pool import (
 __all__ = [
     "ShardStats",
     "ExperimentResult",
-    "Scenario",
-    "ScenarioGrid",
-    "ScenarioResult",
     "GridResult",
     "ShardDriver",
     "ShardedEngine",
@@ -286,7 +274,7 @@ def _records_of(sim) -> PacketArrays:
 
 
 # ---------------------------------------------------------------------------
-# experiment results and the legacy Scenario shim
+# experiment results
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -297,10 +285,7 @@ class ExperimentResult:
     ``stats`` is loop-shaped: closed-loop runs carry mergeable
     :class:`ShardStats` (so shards of one spec reduce exactly — see
     :meth:`merged_with`), stream runs carry
-    :class:`~repro.simulator.metrics.StreamStats`.  The legacy names
-    ``ScenarioResult`` and ``StreamPointResult`` are aliases of this
-    class, and :attr:`scenario` aliases :attr:`spec`, so existing call
-    sites keep reading.
+    :class:`~repro.simulator.metrics.StreamStats`.
     """
 
     spec: "object"          # ExperimentSpec (kept untyped: layering)
@@ -308,11 +293,6 @@ class ExperimentResult:
     seconds: float
     lost_to_faults: int = 0
     unreachable_pairs: int = 0
-
-    @property
-    def scenario(self):
-        """Legacy-name alias of :attr:`spec`."""
-        return self.spec
 
     @property
     def run_stats(self) -> RunStats:
@@ -348,11 +328,10 @@ class ExperimentResult:
         )
 
     def row(self) -> dict:
-        """JSON-friendly summary row, loop-shaped to match the rows the
-        legacy paths published (sweep rows for closed loops,
-        saturation-curve rows for stream points).  Declarative cells add
-        ``fault_model`` (and ``replicas`` when > 1) columns; legacy
-        cells' rows are unchanged."""
+        """JSON-friendly summary row, loop-shaped: sweep columns for
+        closed loops, saturation-curve columns for stream points.  Cells
+        with a ``fault_model`` add that column (and ``replicas`` when
+        > 1); literal-``faults`` cells do not."""
         if isinstance(self.stats, ShardStats):
             sc, st = self.spec, self.run_stats
             return {
@@ -361,7 +340,7 @@ class ExperimentResult:
                 "pattern": sc.pattern, "packets": sc.packets,
                 "faults": [list(f) for f in sc.faults],
                 # fault-model columns appear only on declarative cells, so
-                # legacy sweep rows stay byte-identical
+                # literal-fault rows keep their published bytes
                 **_fault_model_columns(sc),
                 "seed": sc.seed,
                 "controller": sc.controller,
@@ -392,222 +371,13 @@ class ExperimentResult:
 
 def _fault_model_columns(spec) -> dict:
     """Extra row columns for declarative fault universes — empty for
-    legacy literal-fault specs, keeping their published rows stable."""
+    literal-fault specs, keeping their published rows stable."""
     out: dict = {}
-    model = getattr(spec, "fault_model", None)
-    if model is not None:
-        out["fault_model"] = dict(model)
-    if getattr(spec, "replicas", 1) > 1:
+    if spec.fault_model is not None:
+        out["fault_model"] = dict(spec.fault_model)
+    if spec.replicas > 1:
         out["replicas"] = spec.replicas
     return out
-
-
-#: Legacy alias — scenario-era call sites keep importing this name.
-ScenarioResult = ExperimentResult
-
-
-@dataclass(frozen=True)
-class Scenario:
-    """Deprecated: the closed-loop scenario record, now a thin shim over
-    :class:`repro.experiments.ExperimentSpec`.
-
-    Constructing one emits a :class:`DeprecationWarning` and builds the
-    equivalent spec (``loop="closed"``) internally — same fields, same
-    validation, and :meth:`run` returns bit-identical statistics, so
-    existing call sites keep working while they migrate.  New code
-    should construct ``ExperimentSpec(loop="closed", ...)`` directly.
-    """
-
-    m: int
-    h: int
-    k: int = 1
-    pattern: str = "uniform"
-    packets: int = 1000
-    faults: tuple[tuple[int, int], ...] = ()
-    seed: int = 0
-    link_capacity: int = 1
-    batches: int = 1
-    cycles_per_batch: int = 0
-    controller: str = "reconfig"
-    engine: str = "batch"
-    route_mode: str = "bfs"
-    shards: int = 1
-    max_cycles: int = 1_000_000
-
-    def __post_init__(self):
-        object.__setattr__(
-            self,
-            "faults",
-            tuple((int(c), int(v)) for c, v in self.faults),
-        )
-        # validation lives in the spec; an invalid Scenario raises the
-        # same ParameterError the spec would (before the deprecation
-        # warning, so error-path callers see no noise)
-        object.__setattr__(self, "_spec", self.to_spec())
-        warnings.warn(
-            "Scenario is deprecated; use "
-            "repro.experiments.ExperimentSpec(loop='closed', ...) — same "
-            "fields, exact JSON round-trip, and `repro run` support",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-
-    def to_spec(self):
-        """The equivalent :class:`~repro.experiments.ExperimentSpec`."""
-        from repro.experiments.spec import ExperimentSpec
-
-        return ExperimentSpec(
-            m=self.m, h=self.h, k=self.k, loop="closed",
-            pattern=self.pattern, packets=self.packets, faults=self.faults,
-            seed=self.seed, link_capacity=self.link_capacity,
-            batches=self.batches, cycles_per_batch=self.cycles_per_batch,
-            controller=self.controller, engine=self.engine,
-            route_mode=self.route_mode, shards=self.shards,
-            max_cycles=self.max_cycles,
-        )
-
-    @property
-    def label(self) -> str:
-        return self._spec.label
-
-    def traffic(self) -> np.ndarray:
-        """The scenario's (src, dst) pairs — deterministic in ``seed``."""
-        return self._spec.traffic()
-
-    def injection_batches(self) -> list[np.ndarray]:
-        return self._spec.injection_batches()
-
-    def build_controller(self, engine: str | None = None):
-        """Fresh controller with this scenario's faults wired in."""
-        return self._spec.build_controller(engine)
-
-    def run(self, batch_slice: slice | None = None) -> "ExperimentResult":
-        """Run (a shard of) this scenario in the current process —
-        delegates to the spec; the result's ``scenario`` attribute holds
-        the spec."""
-        return self._spec.run(batch_slice)
-
-
-@dataclass(frozen=True)
-class ScenarioGrid:
-    """Declarative closed-loop sweep specification: the cartesian product
-    of every axis, expanded in a stable documented order.
-
-    Superseded by :class:`repro.experiments.ExperimentGrid` (which adds
-    the stream loop and an offered-rate axis); this class remains as a
-    compatible front end — :func:`run_grid` converts it via
-    :meth:`to_experiment_grid`, and every number comes out bit-identical.
-
-    Axes (in product order): ``mhk`` x ``patterns`` x ``loads`` x
-    ``fault_sets`` x ``seeds``.  Scalars (``link_capacity``, ``batches``,
-    ``cycles_per_batch``, ``controller``, ``engine``, ``route_mode``,
-    ``shards``) apply to every cell; ``engine`` and ``route_mode`` are
-    recorded per row in published sweeps so curves state what produced
-    them.
-
-    >>> grid = ScenarioGrid(mhk=[(2, 4, 1)], patterns=["uniform"],
-    ...                     loads=[100], seeds=[0, 1])
-    >>> len(grid)
-    2
-    """
-
-    mhk: tuple[tuple[int, int, int], ...]
-    patterns: tuple[str, ...] = ("uniform",)
-    loads: tuple[int, ...] = (1000,)
-    fault_sets: tuple[tuple[tuple[int, int], ...], ...] = ((),)
-    seeds: tuple[int, ...] = (0,)
-    link_capacity: int = 1
-    batches: int = 1
-    cycles_per_batch: int = 0
-    controller: str = "reconfig"
-    engine: str = "batch"
-    route_mode: str = "bfs"
-    shards: int = 1
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "mhk", tuple((int(m), int(h), int(k)) for m, h, k in self.mhk)
-        )
-        object.__setattr__(self, "patterns", tuple(self.patterns))
-        object.__setattr__(self, "loads", tuple(int(p) for p in self.loads))
-        object.__setattr__(
-            self,
-            "fault_sets",
-            tuple(
-                tuple((int(c), int(v)) for c, v in fs) for fs in self.fault_sets
-            ),
-        )
-        object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
-        if not self.mhk:
-            raise ParameterError("ScenarioGrid needs at least one (m, h, k)")
-
-    def __len__(self) -> int:
-        return (
-            len(self.mhk) * len(self.patterns) * len(self.loads)
-            * len(self.fault_sets) * len(self.seeds)
-        )
-
-    def to_experiment_grid(self):
-        """The equivalent :class:`~repro.experiments.ExperimentGrid`
-        (``loop="closed"``) — the form :func:`run_grid` executes."""
-        from repro.experiments.spec import ExperimentGrid
-
-        return ExperimentGrid(
-            mhk=self.mhk, loop="closed", patterns=self.patterns,
-            loads=self.loads, fault_sets=self.fault_sets, seeds=self.seeds,
-            link_capacity=self.link_capacity, batches=self.batches,
-            cycles_per_batch=self.cycles_per_batch,
-            controller=self.controller, engine=self.engine,
-            route_mode=self.route_mode, shards=self.shards,
-        )
-
-    def scenarios(self) -> list[Scenario]:
-        """Expand the grid into concrete :class:`Scenario` cells (the
-        deprecated shim type — each construction warns; prefer
-        ``to_experiment_grid().expand()``)."""
-        out = []
-        for (m, h, k), pattern, load, faults, seed in itertools.product(
-            self.mhk, self.patterns, self.loads, self.fault_sets, self.seeds
-        ):
-            out.append(
-                Scenario(
-                    m=m, h=h, k=k, pattern=pattern, packets=load,
-                    faults=faults, seed=seed,
-                    link_capacity=self.link_capacity,
-                    batches=self.batches,
-                    cycles_per_batch=self.cycles_per_batch,
-                    controller=self.controller,
-                    engine=self.engine,
-                    route_mode=self.route_mode,
-                    shards=self.shards,
-                )
-            )
-        return out
-
-    def to_dict(self) -> dict:
-        """JSON-friendly form (the CLI round-trips grids through this)."""
-        return {
-            "mhk": [list(t) for t in self.mhk],
-            "patterns": list(self.patterns),
-            "loads": list(self.loads),
-            "fault_sets": [[list(f) for f in fs] for fs in self.fault_sets],
-            "seeds": list(self.seeds),
-            "link_capacity": self.link_capacity,
-            "batches": self.batches,
-            "cycles_per_batch": self.cycles_per_batch,
-            "controller": self.controller,
-            "engine": self.engine,
-            "route_mode": self.route_mode,
-            "shards": self.shards,
-        }
-
-    @classmethod
-    def from_dict(cls, spec: dict) -> "ScenarioGrid":
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(spec) - known
-        if unknown:
-            raise ParameterError(f"unknown ScenarioGrid keys: {sorted(unknown)}")
-        return cls(**spec)
 
 
 # ---------------------------------------------------------------------------
@@ -714,23 +484,18 @@ def _run_spec_task(task: _SpecTask) -> ExperimentResult:
 
 
 def _as_specs(grid) -> list:
-    """Normalize any accepted grid/cell form into a flat spec list."""
+    """An :class:`~repro.experiments.ExperimentGrid` or a sequence of
+    :class:`~repro.experiments.ExperimentSpec` cells as a flat spec list."""
     from repro.experiments.spec import ExperimentGrid, ExperimentSpec
 
     if isinstance(grid, ExperimentGrid):
         return grid.expand()
-    if isinstance(grid, ScenarioGrid):
-        return grid.to_experiment_grid().expand()
-    specs = []
-    for cell in grid:
-        if isinstance(cell, ExperimentSpec):
-            specs.append(cell)
-        elif hasattr(cell, "to_spec"):  # legacy Scenario/StreamScenario shims
-            specs.append(cell.to_spec())
-        else:
+    specs = list(grid)
+    for cell in specs:
+        if not isinstance(cell, ExperimentSpec):
             raise ParameterError(
-                f"run_grid expects ExperimentSpec cells (or the legacy "
-                f"Scenario/StreamScenario shims), got {cell!r}"
+                f"run_grid expects an ExperimentGrid or ExperimentSpec "
+                f"cells, got {cell!r}"
             )
     return specs
 
@@ -746,7 +511,7 @@ def _expand_tasks(specs: Sequence) -> tuple[list[_SpecTask], list[int]]:
     tasks: list[_SpecTask] = []
     owners: list[int] = []
     for si, sp in enumerate(specs):
-        if getattr(sp, "replicas", 1) > 1:
+        if sp.replicas > 1:
             for i in range(sp.replicas):
                 tasks.append(_SpecTask(sp.realize_replica(i)))
                 owners.append(si)
@@ -793,9 +558,8 @@ class GridResult:
 
     def rows(self) -> list[dict]:
         """JSON-friendly per-spec rows (reporting/CI artifacts).
-        Closed-loop rows keep the legacy sweep columns bit-identical;
-        stream rows prepend the cell identity to the saturation-curve
-        columns."""
+        Closed-loop rows carry the sweep columns; stream rows prepend
+        the cell identity to the saturation-curve columns."""
         out = []
         for r in self.results:
             row = r.row()
@@ -828,12 +592,11 @@ def run_grid(
     """Sweep an experiment grid across a worker pool and reduce the
     shards.
 
-    ``grid`` may be an :class:`~repro.experiments.ExperimentGrid`, a
-    legacy :class:`ScenarioGrid`, or any sequence of
-    :class:`~repro.experiments.ExperimentSpec` cells (legacy
-    ``Scenario``/``StreamScenario`` shims are converted).  Closed-loop
-    and stream cells mix freely — a stream grid over rates x sizes x
-    fault sets *is* a saturation surface executed as one sharded sweep.
+    ``grid`` is an :class:`~repro.experiments.ExperimentGrid` or any
+    sequence of :class:`~repro.experiments.ExperimentSpec` cells.
+    Closed-loop and stream cells mix freely — a stream grid over rates x
+    sizes x fault sets *is* a saturation surface executed as one sharded
+    sweep.
 
     The per-spec results come back in grid order regardless of which
     worker finished first, and the merged closed-loop aggregate is

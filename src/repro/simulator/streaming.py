@@ -15,17 +15,12 @@ Entry points
     Drive one fault controller open-loop from a seeded source for a
     fixed horizon, with warmup/measurement-window accounting.  Also
     reachable as ``controller.run_stream(source, ...)``.
-:class:`StreamScenario`
-    A pickle-by-value description of one streaming run (machine, source,
-    rate, faults, horizon) — the unit the multi-process plumbing ships
-    to workers.
-:func:`load_sweep`
-    Evaluate one scenario at many offered rates across a
-    :class:`repro.simulator.shard_driver.ShardDriver` worker pool.
 :func:`find_saturation`
-    Sweep a rate ladder, bracket the saturation point, and bisect it —
-    the producer of offered-load vs delivered-throughput curves (CLI:
-    ``python -m repro saturate``).
+    Sweep a rate ladder of one stream
+    :class:`~repro.experiments.ExperimentSpec` through
+    :func:`~repro.simulator.shard_driver.run_grid`, bracket the
+    saturation point, and bisect it — the producer of offered-load vs
+    delivered-throughput curves (CLI: ``repro run SPEC.json --rates``).
 
 How the hot path stays fast
 ---------------------------
@@ -54,33 +49,28 @@ pins this with goldens).
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from repro.errors import ParameterError, SimulationError
-from repro.simulator.metrics import PacketArrays, StreamStats, stream_summary
-from repro.simulator.shard_driver import ExperimentResult, ShardDriver
+from repro.simulator.metrics import StreamStats, stream_summary
+from repro.simulator.shard_driver import (
+    ExperimentResult,
+    ShardDriver,
+    _records_of,
+    run_grid,
+)
 from repro.simulator.sources import TrafficSource
 
 __all__ = [
     "run_stream",
-    "StreamScenario",
-    "StreamPointResult",
     "SaturationResult",
-    "load_sweep",
     "find_saturation",
 ]
 
 _I64 = np.int64
-
-
-def _records_of(sim) -> PacketArrays:
-    if hasattr(sim, "packet_records"):
-        return sim.packet_records()
-    return PacketArrays.from_packets(sim.packets)
 
 
 def run_stream(
@@ -256,142 +246,6 @@ def run_stream(
 
 
 # ---------------------------------------------------------------------------
-# streamed scenarios: the multi-process unit of work
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class StreamScenario:
-    """Deprecated: the open-loop scenario record, now a thin shim over
-    :class:`repro.experiments.ExperimentSpec`.
-
-    Constructing one emits a :class:`DeprecationWarning` and builds the
-    equivalent spec (``loop="stream"``) internally — same fields, same
-    validation, and :meth:`run` returns bit-identical statistics, so
-    existing call sites keep working while they migrate.  New code
-    should construct ``ExperimentSpec(loop="stream", ...)`` directly;
-    a rate ladder over several machine sizes and fault sets is an
-    :class:`~repro.experiments.ExperimentGrid` handed to
-    :func:`~repro.simulator.shard_driver.run_grid`.
-    """
-
-    m: int
-    h: int
-    k: int = 1
-    rate: float = 1.0
-    source: str = "poisson"
-    pattern: str = "uniform"
-    cycles: int = 2000
-    warmup: int = 200
-    window: int = 0
-    faults: tuple[tuple[int, int], ...] = ()
-    seed: int = 0
-    link_capacity: int = 1
-    controller: str = "reconfig"
-    engine: str = "batch"
-    route_mode: str = "bfs"
-    mean_on: float = 20.0
-    mean_off: float = 20.0
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "faults", tuple((int(c), int(v)) for c, v in self.faults)
-        )
-        # validation lives in the spec; an invalid StreamScenario raises
-        # the same ParameterError the spec would
-        object.__setattr__(self, "_spec", self.to_spec())
-        warnings.warn(
-            "StreamScenario is deprecated; use "
-            "repro.experiments.ExperimentSpec(loop='stream', ...) — same "
-            "fields, exact JSON round-trip, and `repro run` support",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-
-    def to_spec(self):
-        """The equivalent :class:`~repro.experiments.ExperimentSpec`."""
-        from repro.experiments.spec import ExperimentSpec
-
-        return ExperimentSpec(
-            m=self.m, h=self.h, k=self.k, loop="stream",
-            pattern=self.pattern, controller=self.controller,
-            engine=self.engine, route_mode=self.route_mode,
-            faults=self.faults, seed=self.seed,
-            link_capacity=self.link_capacity,
-            source=self.source, rate=self.rate, cycles=self.cycles,
-            warmup=self.warmup, window=self.window,
-            mean_on=self.mean_on, mean_off=self.mean_off,
-        )
-
-    @property
-    def label(self) -> str:
-        return self._spec.label
-
-    def with_rate(self, rate: float) -> "StreamScenario":
-        """A copy at a different offered rate (the load-sweep axis)."""
-        return replace(self, rate=float(rate))
-
-    def build_source(self) -> TrafficSource:
-        """The scenario's arrival process — deterministic in ``seed``."""
-        return self._spec.build_source()
-
-    def build_controller(self):
-        """Fresh controller with this scenario's faults wired in."""
-        return self._spec.build_controller()
-
-    def run(self) -> "ExperimentResult":
-        """Execute in the current process — delegates to the spec; the
-        result's ``scenario`` attribute holds the spec."""
-        return self._spec.run()
-
-
-#: Legacy alias — scenario-era call sites keep importing this name.
-StreamPointResult = ExperimentResult
-
-
-def _as_stream_spec(base):
-    """Normalize a sweep base (spec or legacy shim) to a stream spec."""
-    spec = base.to_spec() if hasattr(base, "to_spec") else base
-    if getattr(spec, "loop", None) != "stream":
-        raise ParameterError(
-            "load sweeps need a stream experiment: pass "
-            "ExperimentSpec(loop='stream', ...) or a StreamScenario"
-        )
-    return spec
-
-
-def _run_stream_point(sc) -> ExperimentResult:
-    """Module-level worker entry point (must be picklable by name)."""
-    return sc.run()
-
-
-def load_sweep(
-    base,
-    rates,
-    *,
-    workers: int | None = None,
-    driver: ShardDriver | None = None,
-    pool=None,
-) -> list[ExperimentResult]:
-    """Evaluate ``base`` at every offered rate in ``rates``.
-
-    ``base`` is a stream :class:`~repro.experiments.ExperimentSpec` (or
-    the legacy ``StreamScenario`` shim).  Points are independent
-    simulations, so they fan out across a
-    :class:`~repro.simulator.shard_driver.ShardDriver` worker pool
-    (``workers=0`` runs inline — results are identical either way).
-    ``pool`` borrows a warm :class:`~repro.simulator.pool.WorkerPool`
-    so repeated sweeps reuse the same workers; ``driver`` overrides the
-    whole facade and wins.  Returns one
-    :class:`~repro.simulator.shard_driver.ExperimentResult` per rate,
-    in input order.
-    """
-    base = _as_stream_spec(base)
-    specs = [base.with_rate(float(r)) for r in rates]
-    drv = driver or ShardDriver(workers=workers, pool=pool)
-    return drv.map(_run_stream_point, specs)
-
-
-# ---------------------------------------------------------------------------
 # saturation search
 # ---------------------------------------------------------------------------
 
@@ -419,7 +273,7 @@ class SaturationResult:
     unstable_rate: float
     threshold: float
     bracketed: bool
-    points: tuple[StreamPointResult, ...]
+    points: tuple[ExperimentResult, ...]
     workers: int = 0
 
     def curve(self) -> list[dict]:
@@ -428,7 +282,7 @@ class SaturationResult:
 
 
 def _bracket_first_crossing(
-    ladder: Sequence[StreamPointResult], threshold: float
+    ladder: Sequence[ExperimentResult], threshold: float
 ) -> tuple[float, float, bool, float]:
     """Bracket the saturation point on a rate-sorted ladder.
 
@@ -443,13 +297,13 @@ def _bracket_first_crossing(
         (p for p in ladder if not p.stable(threshold)), None
     )
     if first_unstable is None:
-        lo = ladder[-1].scenario.rate
+        lo = ladder[-1].spec.rate
         return lo, float("inf"), False, lo  # never saturated: lower bound
-    hi = first_unstable.scenario.rate
+    hi = first_unstable.spec.rate
     stable_below = [
-        p.scenario.rate
+        p.spec.rate
         for p in ladder
-        if p.scenario.rate < hi and p.stable(threshold)
+        if p.spec.rate < hi and p.stable(threshold)
     ]
     if not stable_below:
         return 0.0, hi, False, hi  # saturated from the start: upper bound
@@ -468,10 +322,10 @@ def find_saturation(
 ) -> SaturationResult:
     """Locate the saturation point of one machine/fault scenario.
 
-    ``base`` is a stream :class:`~repro.experiments.ExperimentSpec` (or
-    the legacy ``StreamScenario`` shim).  Phase 1 evaluates the
-    ``rates`` ladder in parallel (the coarse curve).  Phase 2 brackets
-    the ladder's *first* threshold crossing (see
+    ``base`` is a stream :class:`~repro.experiments.ExperimentSpec`.
+    Phase 1 evaluates the ``rates`` ladder in parallel through
+    :func:`~repro.simulator.shard_driver.run_grid` (the coarse curve).
+    Phase 2 brackets the ladder's *first* threshold crossing (see
     :func:`_bracket_first_crossing`) and bisects it ``bisect`` times
     (sequential — each probe informs the next).  A point is *stable*
     when its measurement-window delivery ratio is at least
@@ -482,18 +336,26 @@ def find_saturation(
     bisection probes) appear in ``points``.
 
     ``pool`` borrows a warm :class:`~repro.simulator.pool.WorkerPool`
-    for the ladder phase (bisection probes always run inline — they are
-    sequential by nature).
+    for the ladder phase and ``driver`` overrides the whole dispatch
+    facade, as in :func:`~repro.simulator.shard_driver.run_grid`
+    (bisection probes always run inline — they are sequential by
+    nature).
     """
     if not 0 < threshold <= 1:
         raise ParameterError("threshold must be in (0, 1]")
-    base = _as_stream_spec(base)
+    if getattr(base, "loop", None) != "stream":
+        raise ParameterError(
+            "find_saturation needs a stream experiment: pass "
+            "ExperimentSpec(loop='stream', ...)"
+        )
     rates = sorted(float(r) for r in rates)
     if not rates:
         raise ParameterError("find_saturation needs at least one rate")
-    drv = driver or ShardDriver(workers=workers, pool=pool)
-    resolved_workers = drv.resolve_workers(len(rates))
-    points = list(load_sweep(base, rates, driver=drv))
+    ladder = run_grid(
+        [base.with_rate(r) for r in rates],
+        driver=driver, pool=pool, workers=workers,
+    )
+    points = list(ladder.results)
 
     lo, hi, bracketed, saturation = _bracket_first_crossing(points, threshold)
     if bracketed:
@@ -507,7 +369,7 @@ def find_saturation(
                 hi = mid
         saturation = 0.5 * (lo + hi)
 
-    points.sort(key=lambda p: p.scenario.rate)
+    points.sort(key=lambda p: p.spec.rate)
     return SaturationResult(
         saturation_rate=float(saturation),
         stable_rate=float(lo),
@@ -515,5 +377,5 @@ def find_saturation(
         threshold=float(threshold),
         bracketed=bracketed,
         points=tuple(points),
-        workers=resolved_workers,
+        workers=ladder.workers,
     )

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.cli import main
@@ -79,80 +81,110 @@ class TestBenchEngines:
         assert "speedup" in out
 
 
+def _write_json(tmp_path, payload, name="spec.json") -> str:
+    path = tmp_path / name
+    path.write_text(json.dumps(payload))
+    return str(path)
+
+
 class TestSweep:
+    """Closed-loop grid sweeps through ``repro run`` with a grid JSON."""
+
+    GRID = {"grid": {
+        "mhk": [[2, 4, 1], [2, 5, 1]], "patterns": ["uniform"],
+        "loads": [150], "fault_sets": [[], [[0, 3]]], "seeds": [0, 1],
+    }}
+
     def test_sweep_inline_with_check(self, capsys, tmp_path):
         out = tmp_path / "sweep.json"
         assert main([
-            "sweep", "--mhk", "2,4,1", "--mhk", "2,5,1",
-            "--pattern", "uniform", "--packets", "150",
-            "--fault-set", "", "--fault-set", "0:3",
-            "--seeds", "2", "--workers", "0",
+            "run", _write_json(tmp_path, self.GRID), "--workers", "0",
             "--check-single", "--json", str(out),
         ]) == 0
         text = capsys.readouterr().out
-        assert "scenario grid: 8 scenarios" in text
-        assert "identical aggregate: True" in text
-        assert out.exists()
-        import json
-
+        assert "experiment grid: 8 cells (loop=closed)" in text
+        assert "identical stats: True" in text
         payload = json.loads(out.read_text())
-        assert len(payload["scenarios"]) == 8
+        assert len(payload["rows"]) == 8
         assert payload["aggregate"]["injected"] == 8 * 150
         # published curves must record what produced them
-        assert payload["engine"] == "batch"
         assert payload["grid"]["engine"] == "batch"
         assert payload["workers"] == 0
-        assert all(r["engine"] == "batch" for r in payload["scenarios"])
+        assert all(r["engine"] == "batch" for r in payload["rows"])
 
-    def test_sweep_multiprocess(self, capsys):
+    def test_sweep_multiprocess(self, capsys, tmp_path):
+        grid = {"grid": {"mhk": [[2, 4, 1]], "loads": [100], "seeds": [0, 1]}}
         assert main([
-            "sweep", "--mhk", "2,4,1", "--packets", "100",
-            "--seeds", "2", "--workers", "2",
+            "run", _write_json(tmp_path, grid), "--workers", "2",
         ]) == 0
-        assert "aggregate over 2 scenarios" in capsys.readouterr().out
+        assert "aggregate over 2 closed-loop cell(s)" in capsys.readouterr().out
 
-    def test_sweep_bad_mhk(self, capsys):
-        assert main(["sweep", "--mhk", "nope"]) == 1
-        assert "error" in capsys.readouterr().err
+    def test_sweep_bad_mhk(self, capsys, tmp_path):
+        spec = _write_json(tmp_path, {"grid": {"mhk": ["nope"]}})
+        assert main(["run", spec]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
 
-    def test_sweep_bad_fault_set(self, capsys):
-        assert main(["sweep", "--mhk", "2,4,1", "--fault-set", "xx"]) == 1
-        assert "error" in capsys.readouterr().err
+    def test_sweep_bad_fault_set(self, capsys, tmp_path):
+        spec = _write_json(tmp_path, {"grid": {"mhk": [[2, 4, 1]],
+                                               "fault_sets": ["xx"]}})
+        assert main(["run", spec]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 class TestSaturate:
-    def test_curve_and_saturation_point(self, capsys, tmp_path):
-        out = tmp_path / "sat.json"
-        assert main([
-            "saturate", "--mhk", "2,4,1", "--cycles", "300",
-            "--rates", "1,4,16", "--bisect", "2",
-            "--fault-set", "", "--fault-set", "0:5",
-            "--workers", "0", "--json", str(out),
-        ]) == 0
-        text = capsys.readouterr().out
-        assert "fault-free" in text and "faults [(0, 5)]" in text
-        assert "saturation ~" in text
-        import json
+    """Saturation ladders through ``repro run SPEC.json --rates``."""
 
-        payload = json.loads(out.read_text())
-        assert payload["engine"] == "batch" and payload["workers"] == 0
-        assert len(payload["curves"]) == 2
-        for curve in payload["curves"]:
-            assert curve["bracketed"]
-            rates = [p["rate"] for p in curve["points"]]
+    @staticmethod
+    def _stream(**fields) -> dict:
+        return {"experiment": {"m": 2, "h": 4, "k": 1, "loop": "stream",
+                               **fields}}
+
+    def test_curve_and_saturation_point(self, capsys, tmp_path):
+        # one curve per fault set: fault-free, then one fault at cycle 0
+        for i, fault_model in enumerate(
+            [None, {"name": "fixed", "faults": [[0, 5]]}]
+        ):
+            spec = _write_json(tmp_path, self._stream(
+                cycles=300, warmup=60, window=20, fault_model=fault_model,
+            ), name=f"spec{i}.json")
+            out = tmp_path / f"sat{i}.json"
+            assert main([
+                "run", spec, "--rates", "1,4,16", "--bisect", "2",
+                "--workers", "0", "--json", str(out),
+            ]) == 0
+            assert "saturation ~" in capsys.readouterr().out
+            payload = json.loads(out.read_text())
+            assert payload["experiment"]["engine"] == "batch"
+            assert payload["workers"] == 0
+            assert payload["bracketed"]
+            rates = [p["rate"] for p in payload["points"]]
             assert rates == sorted(rates) and len(rates) >= 5
 
-    def test_detour_controller(self, capsys):
+    def test_detour_controller(self, capsys, tmp_path):
+        spec = _write_json(tmp_path, self._stream(
+            cycles=200, warmup=40, controller="detour",
+            fault_model={"name": "fixed", "faults": [[0, 5]]},
+        ))
         assert main([
-            "saturate", "--mhk", "2,4,1", "--cycles", "200",
-            "--rates", "0.5", "--bisect", "0", "--controller", "detour",
-            "--fault-set", "0:5", "--workers", "0",
+            "run", spec, "--rates", "0.5", "--bisect", "0", "--workers", "0",
         ]) == 0
         assert "unadmitted" in capsys.readouterr().out
 
-    def test_bad_mhk(self, capsys):
-        assert main(["saturate", "--mhk", "nope"]) == 1
-        assert "error" in capsys.readouterr().err
+    def test_bad_mhk(self, capsys, tmp_path):
+        spec = _write_json(tmp_path, {"experiment": {"m": "nope", "h": 4,
+                                                     "loop": "stream"}})
+        assert main(["run", spec, "--rates", "1"]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("command", ["sweep", "saturate"])
+def test_removed_commands_are_invalid_choices(capsys, command):
+    """The flag-driven sweep/saturate commands were removed in 2.0;
+    grid JSON and ``--rates`` through ``repro run`` replace them."""
+    with pytest.raises(SystemExit) as exc:
+        main([command])
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
 
 
 class TestMisc:

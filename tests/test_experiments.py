@@ -1,24 +1,23 @@
 """Tests for the unified experiment API: spec round-trips, registry
-validation, grid-expansion equivalence against the legacy scenario
-paths, deprecation shims, and the ``repro run`` CLI.
+validation, grid expansion and execution, and the ``repro run`` CLI.
 
 The load-bearing claims:
 
 * ``ExperimentSpec`` JSON round-trips *exactly* (spec -> json -> spec
   equality, every field);
-* the legacy ``Scenario``/``StreamScenario``/``ScenarioGrid`` paths and
-  the new ``ExperimentSpec``/``ExperimentGrid`` paths produce
-  bit-identical ``RunStats``/``StreamStats``;
+* grid execution is bit-identical pooled vs inline and cell-for-cell
+  equal to a direct ``spec.run()``;
 * registry lookups fail at spec construction with a ``ValueError``
   subclass naming the bad value and the valid choices — never a
   ``KeyError`` inside a worker;
-* the shims warn with ``DeprecationWarning``.
+* malformed ``repro run`` input exits 1 with an ``error:`` line, never
+  a traceback.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
-import warnings
 
 import numpy as np
 import pytest
@@ -38,13 +37,6 @@ from repro.experiments import (
     Registry,
     run_grid,
 )
-
-
-def _quiet(fn, *args, **kwargs):
-    """Run a deprecated constructor without warning noise."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        return fn(*args, **kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -175,7 +167,12 @@ class TestJsonRoundTrip:
             faults=faults, seed=seed, link_capacity=link_capacity,
             packets=packets, source=source, rate=rate,
         )
-        back = ExperimentSpec.from_json(spec.to_json())
+        # the serialized `faults` key is deprecated in favor of the
+        # bit-identical fixed fault model, and says so
+        warns = (pytest.warns(DeprecationWarning, match="fault_model")
+                 if faults else contextlib.nullcontext())
+        with warns:
+            back = ExperimentSpec.from_json(spec.to_json())
         assert back == spec
         assert back.rate == spec.rate  # float equality, not approx
         # and the dict form is genuinely JSON-typed
@@ -236,68 +233,16 @@ class TestExperimentGrid:
 
 
 # ---------------------------------------------------------------------------
-# equivalence with the legacy paths (bit-identical stats)
+# grid execution (bit-identical stats)
 # ---------------------------------------------------------------------------
 
 class TestLegacyEquivalence:
-    def test_scenario_grid_vs_experiment_grid(self):
-        """Old ScenarioGrid and new ExperimentGrid describe the same
-        sweep -> bit-identical per-cell RunStats and aggregate."""
-        from repro.simulator import ScenarioGrid
-
-        kwargs = dict(
-            mhk=[(2, 4, 1), (2, 5, 1)], patterns=["uniform"],
-            loads=[120], fault_sets=[(), ((0, 3),)], seeds=[0, 1],
-        )
-        old = run_grid(ScenarioGrid(**kwargs), workers=0)
-        new = run_grid(ExperimentGrid(**kwargs), workers=0)
-        assert old.aggregate_stats == new.aggregate_stats
-        for a, b in zip(old.results, new.results):
-            assert a.run_stats == b.run_stats
-            assert a.spec == b.spec
-
-    def test_scenario_shim_runs_bit_identical(self):
-        from repro.simulator import Scenario
-
-        sc = _quiet(Scenario, m=2, h=5, k=1, packets=200,
-                    faults=((0, 3),), seed=4, batches=2)
-        spec = ExperimentSpec(m=2, h=5, k=1, packets=200,
-                             faults=((0, 3),), seed=4, batches=2)
-        assert sc.to_spec() == spec
-        assert sc.label == spec.label
-        assert sc.run().run_stats == spec.run().run_stats
-
-    def test_stream_scenario_shim_runs_bit_identical(self):
-        from repro.simulator import StreamScenario
-
-        sc = _quiet(StreamScenario, m=2, h=4, k=1, rate=3.0, cycles=250,
-                    warmup=50, window=50, faults=((0, 5),), seed=2)
-        spec = ExperimentSpec(m=2, h=4, k=1, loop="stream", rate=3.0,
-                             cycles=250, warmup=50, window=50,
-                             faults=((0, 5),), seed=2)
-        assert sc.to_spec() == spec
-        assert sc.label == spec.label
-        assert sc.run().stats == spec.run().stats  # full StreamStats
-
-    def test_load_sweep_accepts_both(self):
-        from repro.simulator import StreamScenario
-        from repro.simulator.streaming import load_sweep
-
-        spec = ExperimentSpec(m=2, h=4, k=1, loop="stream", cycles=200,
-                             warmup=40, faults=((0, 5),))
-        legacy = _quiet(StreamScenario, m=2, h=4, k=1, cycles=200,
-                        warmup=40, faults=((0, 5),))
-        a = load_sweep(spec, [0.5, 8.0], workers=0)
-        b = load_sweep(legacy, [0.5, 8.0], workers=0)
-        for pa, pb in zip(a, b):
-            assert pa.stats == pb.stats
-            assert pa.spec == pb.spec
-
     def test_load_sweep_rejects_closed_spec(self):
-        from repro.simulator.streaming import load_sweep
+        """The rate-ladder entry point needs a stream spec."""
+        from repro.simulator.streaming import find_saturation
 
         with pytest.raises(ParameterError, match="stream"):
-            load_sweep(ExperimentSpec(m=2, h=4), [1.0], workers=0)
+            find_saturation(ExperimentSpec(m=2, h=4), [1.0], workers=0)
 
     def test_saturation_surface_as_one_sharded_sweep(self):
         """The headline: rate x size x faults through run_grid, pooled
@@ -343,42 +288,6 @@ class TestLegacyEquivalence:
 
 
 # ---------------------------------------------------------------------------
-# deprecation shims warn
-# ---------------------------------------------------------------------------
-
-class TestDeprecationWarnings:
-    def test_scenario_warns(self):
-        from repro.simulator import Scenario
-
-        with pytest.warns(DeprecationWarning, match="ExperimentSpec"):
-            Scenario(m=2, h=4)
-
-    def test_stream_scenario_warns(self):
-        from repro.simulator import StreamScenario
-
-        with pytest.warns(DeprecationWarning, match="ExperimentSpec"):
-            StreamScenario(m=2, h=4)
-
-    def test_sweep_cli_warns(self):
-        with pytest.warns(DeprecationWarning, match="repro run"):
-            assert main(["sweep", "--mhk", "2,4,1", "--packets", "50",
-                         "--workers", "0"]) == 0
-
-    def test_saturate_cli_warns(self):
-        with pytest.warns(DeprecationWarning, match="repro run"):
-            assert main(["saturate", "--mhk", "2,4,1", "--cycles", "100",
-                         "--rates", "0.5", "--bisect", "0",
-                         "--workers", "0"]) == 0
-
-    def test_shim_results_alias_experiment_result(self):
-        from repro.simulator import ExperimentResult, ScenarioResult
-        from repro.simulator.streaming import StreamPointResult
-
-        assert ScenarioResult is ExperimentResult
-        assert StreamPointResult is ExperimentResult
-
-
-# ---------------------------------------------------------------------------
 # the `repro run` CLI
 # ---------------------------------------------------------------------------
 
@@ -392,7 +301,9 @@ class TestRunCli:
         spec = self._write(tmp_path, {"m": 2, "h": 4, "packets": 120,
                                       "faults": [[0, 3]]})
         out = tmp_path / "out.json"
-        assert main(["run", spec, "--workers", "0", "--json", str(out)]) == 0
+        with pytest.warns(DeprecationWarning, match="fault_model"):
+            assert main(["run", spec, "--workers", "0",
+                         "--json", str(out)]) == 0
         text = capsys.readouterr().out
         assert "aggregate over 1 closed-loop cell(s)" in text
         payload = json.loads(out.read_text())
@@ -439,6 +350,25 @@ class TestRunCli:
         assert main(["run", spec]) == 1
         assert "patern" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("payload", [
+        {"m": "x", "h": 4},
+        {"m": 2, "h": 4, "rate": None},
+        {"experiment": {"m": 2, "h": 4, "packets": [10]}},
+        {"grid": {"mhk": [[2, 4]]}},
+        {"grid": {"mhk": [[2, 4, 1]], "seeds": None}},
+    ])
+    def test_wrong_typed_field_is_an_error_not_a_traceback(
+        self, capsys, tmp_path, payload
+    ):
+        """Field values of the wrong type reach the dataclass
+        conversions as TypeError/ValueError; the front door reports
+        them as ParameterError naming the file."""
+        spec = self._write(tmp_path, payload)
+        assert main(["run", spec, "--workers", "0"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and spec in err
+        assert "Traceback" not in err
+
     def test_bad_backend_name_fails_fast(self, capsys, tmp_path):
         spec = self._write(tmp_path, {"m": 2, "h": 4, "engine": "warp"})
         assert main(["run", spec]) == 1
@@ -452,15 +382,6 @@ class TestRunCli:
                                       "seeds": [0, 1, 2]})
         assert main(["run", spec]) == 1
         assert "seeds" in capsys.readouterr().err
-
-    def test_deprecated_commands_print_visible_notice(self, capsys):
-        """DeprecationWarning is hidden by default filters outside
-        __main__, so the CLI shims must also say it on stderr."""
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            assert main(["sweep", "--mhk", "2,4,1", "--packets", "40",
-                         "--workers", "0"]) == 0
-        assert "deprecated" in capsys.readouterr().err
 
     def test_registered_pattern_reaches_cli_choices(self, capsys):
         """The documented extension recipe end-to-end: a pattern
@@ -478,10 +399,8 @@ class TestRunCli:
 
         spec = ExperimentSpec(m=2, h=4, pattern="test-ring", packets=32)
         assert spec.run().run_stats.delivered == 32
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            assert main(["sweep", "--mhk", "2,4,1", "--packets", "32",
-                         "--pattern", "test-ring", "--workers", "0"]) == 0
+        assert main(["bench-engines", "--h", "4", "--packets", "32",
+                     "--pattern", "test-ring"]) == 0
         assert "test-ring" not in capsys.readouterr().err
 
     def test_sample_spec_file_runs(self, capsys, tmp_path):

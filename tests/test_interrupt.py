@@ -114,15 +114,16 @@ def _assert_group_empty(pgid: int, timeout: float = 15.0) -> None:
 
 
 def _interrupt_and_check(p, before: set) -> None:
-    try:
-        _wait_for_workers(p)
-        p.send_signal(signal.SIGTERM)
-        rc = p.wait(timeout=30)
-    finally:
-        if p.poll() is None:
-            os.killpg(p.pid, signal.SIGKILL)
-    assert rc == 130, p.stdout.read()
-    _assert_group_empty(p.pid)
+    with p.stdout:  # close the pipe on every path (no ResourceWarning)
+        try:
+            _wait_for_workers(p)
+            p.send_signal(signal.SIGTERM)
+            rc = p.wait(timeout=30)
+        finally:
+            if p.poll() is None:
+                os.killpg(p.pid, signal.SIGKILL)
+        assert rc == 130, p.stdout.read()
+        _assert_group_empty(p.pid)
     leaked = _shm_segments() - before
     assert not leaked, f"leaked shm segments: {leaked}"
 

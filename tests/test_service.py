@@ -99,6 +99,37 @@ class TestValidation:
         assert code == 400
         assert "experiment" in error
 
+    @pytest.mark.parametrize("payload", [
+        {"m": "x", "h": 4},
+        {"m": 2, "h": 4, "rate": None},
+        {"grid": {"mhk": [[2, 4]]}},
+    ])
+    def test_wrong_typed_field_rejected_not_dropped(self, service, payload):
+        """A TypeError/ValueError out of the spec dataclasses is a 400
+        naming the route — not a dead handler thread and an empty
+        reply."""
+        code, error = _request_error(
+            service.port, "/experiments", json.dumps(payload).encode()
+        )
+        assert code == 400
+        assert error.startswith("POST /experiments: invalid")
+        assert service.pool.spawned == 0
+
+    def test_negative_content_length_rejected(self, service):
+        import http.client
+
+        conn = http.client.HTTPConnection("127.0.0.1", service.port,
+                                          timeout=10)
+        try:
+            conn.putrequest("POST", "/experiments")
+            conn.putheader("Content-Length", "-1")
+            conn.endheaders()
+            resp = conn.getresponse()
+            assert resp.status == 400
+            assert "Content-Length" in json.loads(resp.read())["error"]
+        finally:
+            conn.close()
+
     def test_non_json_body_rejected(self, service):
         code, error = _request_error(service.port, "/experiments", b"not json")
         assert code == 400

@@ -55,7 +55,7 @@ def _subcommands() -> list[str]:
 def test_expected_subcommands_present():
     subs = _subcommands()
     for cmd in ("build", "verify", "report", "route", "demo",
-                "bench-engines", "sweep"):
+                "bench-engines", "run", "serve"):
         assert cmd in subs
 
 
@@ -71,4 +71,4 @@ def test_top_level_help(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--help"])
     assert exc.value.code == 0
-    assert "sweep" in capsys.readouterr().out
+    assert "serve" in capsys.readouterr().out

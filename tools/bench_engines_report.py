@@ -203,9 +203,9 @@ def run_controller_row(pattern, m, h, k, packets, faults, seed=0):
 def run_sweep_row(pattern, m, h, k, packets, faults, seed=0, workers=None):
     """Race the sharded multi-process driver against a single-process run
     of the same scenario grid; the merged aggregates must be bit-identical."""
-    from repro.simulator.shard_driver import ScenarioGrid, run_grid
+    from repro.experiments import ExperimentGrid, run_grid
 
-    grid = ScenarioGrid(
+    grid = ExperimentGrid(
         mhk=[(m, h, k), (m, h - 1, k)],
         patterns=[pattern, "hotspot"],
         loads=[packets],
@@ -238,12 +238,12 @@ def run_pool_row(pattern, m, h, k, packets, faults, seed=0, workers=None,
     pool per ``run_grid``) vs warm (one persistent pool for the lot);
     every repeat's statistics must be bit-identical across both sides."""
     from repro.simulator import WorkerPool
-    from repro.simulator.shard_driver import ScenarioGrid, run_grid
+    from repro.experiments import ExperimentGrid, run_grid
 
     # force real processes: the row measures spawn amortization, which
     # an inline (workers<=1) dispatch would silently skip on 1-CPU boxes
     workers = 2 if workers is None else max(2, workers)
-    grid = ScenarioGrid(
+    grid = ExperimentGrid(
         mhk=[(m, h, k)],
         patterns=[pattern],
         loads=[packets],
