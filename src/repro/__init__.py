@@ -34,7 +34,7 @@ from repro.errors import (  # noqa: F401
     WorkerDiedError,
 )
 
-__version__ = "2.0.0"
+__version__ = "3.0.0"
 
 __all__ = list(_core_all) + [
     "StaticGraph",

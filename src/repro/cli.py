@@ -114,10 +114,11 @@ def _cmd_report(args: argparse.Namespace) -> int:
     ids = list(args.ids or [])
     registered = [i for i in ids if i in REPORTS]
     if not registered:
-        # legacy figure/table path — unchanged, including "no ids = all"
+        # legacy figure/table path; no ids = all (an empty list, not
+        # None, which would make it re-read sys.argv)
         from repro.analysis.reporting import main as report_main
 
-        return report_main(ids or None)
+        return report_main(ids)
     if len(registered) != len(ids):
         legacy = sorted(set(ids) - set(registered))
         print(f"error: cannot mix registered reports {registered} with "

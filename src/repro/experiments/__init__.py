@@ -16,10 +16,10 @@ simulation experiments:
   :mod:`repro.simulator.shard_driver`); accepts a grid or a sequence
   of specs.
 * The backend registries — :data:`ENGINES`, :data:`CONTROLLERS`,
-  :data:`SOURCES`, :data:`PATTERNS`, :data:`ROUTE_MODES`,
-  :data:`FAULT_MODELS` — where every name a spec can carry is
-  registered by decorator and validated at spec construction.  A new backend (an engine, an arrival process, a
-  routing mode) is one decorated factory; every spec, grid, CLI
+  :data:`SOURCES`, :data:`PATTERNS`, :data:`FAULT_MODELS` — where
+  every name a spec can carry is registered by decorator and validated
+  at spec construction.  A new backend (an engine, an arrival process,
+  a fault universe) is one decorated factory; every spec, grid, CLI
   ``choices=`` list and error message picks it up automatically.
 
 CLI: ``python -m repro run spec.json`` executes any spec or grid JSON.
@@ -30,7 +30,6 @@ from repro.simulator.engines import ENGINES, make_engine
 from repro.simulator.faults import (
     CONTROLLERS,
     FAULT_MODELS,
-    ROUTE_MODES,
     realize_fault_model,
     validate_fault_model,
 )
@@ -52,7 +51,6 @@ __all__ = [
     "FAULT_MODELS",
     "SOURCES",
     "PATTERNS",
-    "ROUTE_MODES",
     "realize_fault_model",
     "validate_fault_model",
     "LOOPS",

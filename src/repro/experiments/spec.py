@@ -6,16 +6,15 @@ record that drives every kind of run.
 seeded arrival process at a target rate over a fixed horizon) — in one
 frozen dataclass, selected by ``loop="closed" | "stream"``, with
 
-* **registry-validated fields** — ``pattern``, ``source``, ``engine``,
-  ``controller`` and ``route_mode`` are checked against the live
-  registries (:data:`~repro.simulator.traffic.PATTERNS`,
+* **registry-validated fields** — ``pattern``, ``source``, ``engine``
+  and ``controller`` are checked against the live registries
+  (:data:`~repro.simulator.traffic.PATTERNS`,
   :data:`~repro.simulator.sources.SOURCES`,
   :data:`~repro.simulator.engines.ENGINES`,
-  :data:`~repro.simulator.faults.CONTROLLERS`,
-  :data:`~repro.simulator.faults.ROUTE_MODES`) at *construction* time,
-  so a typo raises a :class:`~repro.errors.ParameterError` (a
-  ``ValueError`` naming the valid choices) in the process that typed
-  it, never as a ``KeyError`` inside a worker;
+  :data:`~repro.simulator.faults.CONTROLLERS`), and numeric fields
+  against their ranges, at *construction* time, so a typo raises a
+  :class:`~repro.errors.ParameterError` (a ``ValueError`` naming the
+  valid choices) in the process that typed it, never inside a worker;
 * **exact JSON round-trip** — :meth:`ExperimentSpec.to_json` /
   :meth:`ExperimentSpec.from_json` reproduce the spec field-for-field
   (ints stay ints, floats round-trip exactly), so one ``spec.json``
@@ -54,6 +53,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import math
 import time
 import warnings
 from dataclasses import dataclass, fields, replace
@@ -61,11 +61,11 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from repro.core.debruijn import debruijn
+from repro.core.labels import validate_base, validate_h
 from repro.errors import ParameterError
 from repro.simulator.engines import ENGINES
 from repro.simulator.faults import (
     CONTROLLERS,
-    ROUTE_MODES,
     FaultScenario,
     realize_fault_model,
     validate_fault_model,
@@ -144,9 +144,10 @@ class ExperimentSpec:
         ``"object"`` or ``"batch"`` (specs run inside pool workers, so
         the sharded engine is not a cell-level choice).
     ``route_mode``
-        Detour routing backend, one of
-        :data:`~repro.simulator.faults.ROUTE_MODES`; ignored by
-        ``reconfig``.
+        Always ``"table"``: the detour baseline routes through one
+        compiled survivor table per fault epoch (``bfs`` was removed
+        and is rejected).  Kept because published rows and spec
+        digests carry it.
     ``faults``
         ``(cycle, node)`` pairs.  Closed-loop ``reconfig`` fires them on
         the honest timeline and ``detour`` at batch boundaries; stream
@@ -186,7 +187,8 @@ class ExperimentSpec:
     ``mean_off`` shape the ``onoff`` source's bursts.
 
     Every field is validated in ``__post_init__`` — registry names
-    against the live registries, cross-field constraints (spare budget,
+    against the live registries, numeric ranges (machine size, counts,
+    seeds, fixed fault node ids), cross-field constraints (spare budget,
     shard preconditions, warmup bounds) — so an invalid spec never
     reaches a worker.
     """
@@ -198,7 +200,7 @@ class ExperimentSpec:
     pattern: str = "uniform"
     controller: str = "reconfig"
     engine: str = "batch"
-    route_mode: str = "bfs"
+    route_mode: str = "table"
     faults: tuple[tuple[int, int], ...] = ()
     fault_model: dict | None = None
     replicas: int = 1
@@ -237,7 +239,15 @@ class ExperimentSpec:
             )
         PATTERNS.validate(self.pattern)
         CONTROLLERS.validate(self.controller)
-        ROUTE_MODES.validate(self.route_mode)
+        if self.route_mode == "bfs":
+            raise ParameterError(
+                "route_mode 'bfs' was removed; use 'table', which is "
+                "hop-optimal and makes the same admission decisions"
+            )
+        if self.route_mode != "table":
+            raise ParameterError(
+                f"unknown route_mode {self.route_mode!r}; valid choices: table"
+            )
         SOURCES.validate(self.source)
         ENGINES.validate(self.engine)
         if self.engine not in _SPEC_ENGINES:
@@ -256,6 +266,7 @@ class ExperimentSpec:
             object.__setattr__(
                 self, "fault_model", validate_fault_model(self.fault_model)
             )
+        self._validate_ranges()
         if self.replicas < 1:
             raise ParameterError(f"replicas must be >= 1, got {self.replicas}")
         if self.replicas > 1:
@@ -271,6 +282,15 @@ class ExperimentSpec:
                     "fan-out already parallelizes the cell"
                 )
         known = self._fixed_faults()
+        if known is not None:
+            # spares are physical nodes too; the detour graph has none
+            n = self.m ** self.h + self.k * (self.controller == "reconfig")
+            for _, v in (*known[0], *known[1]):
+                if not 0 <= v < n:
+                    raise ParameterError(
+                        f"fault node {v} is not a physical node of the "
+                        f"{self.controller} machine [0, {n})"
+                    )
         if self.controller == "reconfig" and known is not None:
             demand = _spare_demand(*known)
             if demand > self.k:
@@ -287,6 +307,31 @@ class ExperimentSpec:
             self._validate_closed()
         else:
             self._validate_stream()
+
+    def _validate_ranges(self) -> None:
+        validate_base(self.m)
+        # the reconfig construction B^k_{m,h} needs h >= 3
+        validate_h(self.h, minimum=3 if self.controller == "reconfig" else 1)
+        # node ids are int64 in every engine (h is checked first so a
+        # huge one is never exponentiated)
+        if self.h >= 63 or self.m ** self.h >= 2**63:
+            raise ParameterError(
+                f"machine size m**h must stay below 2**63, got "
+                f"m={self.m}, h={self.h}"
+            )
+        for name, low in (("k", 0), ("seed", 0), ("packets", 1),
+                          ("link_capacity", 1), ("max_cycles", 1),
+                          ("cycles_per_batch", 0), ("window", 0)):
+            value = getattr(self, name)
+            if value < low:
+                raise ParameterError(f"{name} must be >= {low}, got {value}")
+        if self.source == "onoff" and not (
+            self.mean_on > 0 and self.mean_off > 0
+        ):
+            raise ParameterError(
+                f"source 'onoff' needs mean_on > 0 and mean_off > 0, got "
+                f"mean_on={self.mean_on}, mean_off={self.mean_off}"
+            )
 
     def _validate_closed(self) -> None:
         if self.batches < 1 or self.shards < 1:
@@ -323,8 +368,8 @@ class ExperimentSpec:
                 )
 
     def _validate_stream(self) -> None:
-        if not self.rate > 0:
-            raise ParameterError("rate must be > 0")
+        if not (self.rate > 0 and math.isfinite(self.rate)):
+            raise ParameterError("rate must be finite and > 0")
         if not 0 <= self.warmup < self.cycles:
             raise ParameterError("need 0 <= warmup < cycles")
         if self.shards != 1:
@@ -354,9 +399,7 @@ class ExperimentSpec:
         if self.replicas > 1:
             parts.append(f"x{self.replicas}")
         if self.controller != "reconfig":
-            parts.append(self.controller)
-            if self.route_mode != "bfs":
-                parts.append(self.route_mode)
+            parts.extend((self.controller, self.route_mode))
         return " ".join(parts)
 
     def with_rate(self, rate: float) -> "ExperimentSpec":
@@ -506,7 +549,6 @@ class ExperimentSpec:
             self.m, self.h, self.k,
             engine=engine or self.engine,
             link_capacity=self.link_capacity,
-            route_mode=self.route_mode,
         )
         scenario = self.realize_faults()
         if scenario.node_faults or scenario.node_repairs:
@@ -616,7 +658,7 @@ class ExperimentGrid:
     seeds: tuple[int, ...] = (0,)
     controller: str = "reconfig"
     engine: str = "batch"
-    route_mode: str = "bfs"
+    route_mode: str = "table"
     link_capacity: int = 1
     # closed-loop scalars
     batches: int = 1
@@ -777,34 +819,38 @@ def parse_run_payload(payload, *, origin: str = "request"):
     ``{"experiment": {...}}``, or ``{"grid": {...}}`` for an
     :class:`ExperimentGrid`.  This is the single front door shared by
     the CLI (``repro run <file>``) and the HTTP service (``POST
-    /experiments``): both validate against the backend registries at
-    construction time and reject a malformed payload with the exact
-    :class:`~repro.errors.ParameterError` message before any worker is
+    /experiments``): both validate against the backend registries and
+    field ranges at construction time and reject a malformed payload
+    with a :class:`~repro.errors.ParameterError` before any worker is
     touched.  ``origin`` names the payload in error messages (the file
-    path, or the request route).
+    path, or the request route): every construction error reads
+    ``"<origin>: invalid <kind>: <reason>"``, the reason being the
+    registry's or the range check's own message.
     """
     if not isinstance(payload, dict):
         raise ParameterError(f"{origin}: expected a JSON object")
-    try:
-        for wrapper, cls in (("grid", ExperimentGrid),
+    kind, cls, body = "experiment", ExperimentSpec, payload
+    for wrapper, wrapped in (("grid", ExperimentGrid),
                              ("experiment", ExperimentSpec)):
-            if wrapper in payload:
-                # the wrapper form must wrap *only* — a field that drifted
-                # up to the top level (a misplaced axis, a typo'd sibling)
-                # would otherwise be dropped silently and the run would
-                # use defaults
-                extras = sorted(set(payload) - {wrapper})
-                if extras:
-                    raise ParameterError(
-                        f"{origin}: unexpected keys {extras} next to "
-                        f"{wrapper!r} — every field belongs inside the "
-                        f"{wrapper!r} object"
-                    )
-                return cls.from_dict(payload[wrapper]), wrapper
-        return ExperimentSpec.from_dict(payload), "experiment"
-    except ParameterError:
-        raise
-    except (TypeError, ValueError) as exc:
-        # a wrong-typed field value ("x" for an int, null for a float)
-        # fails inside the dataclass conversions
-        raise ParameterError(f"{origin}: invalid field value: {exc}") from exc
+        if wrapper in payload:
+            # the wrapper form must wrap *only* — a field that drifted up
+            # to the top level (a misplaced axis, a typo'd sibling) would
+            # otherwise be dropped silently and the run would use defaults
+            extras = sorted(set(payload) - {wrapper})
+            if extras:
+                raise ParameterError(
+                    f"{origin}: unexpected keys {extras} next to "
+                    f"{wrapper!r} — every field belongs inside the "
+                    f"{wrapper!r} object"
+                )
+            kind, cls, body = wrapper, wrapped, payload[wrapper]
+            break
+    if not isinstance(body, dict):
+        raise ParameterError(f"{origin}: invalid {kind}: expected a JSON object")
+    try:
+        return cls.from_dict(body), kind
+    except (TypeError, ValueError, OverflowError) as exc:
+        # registry and range errors (ParameterError is a ValueError), and
+        # wrong-typed values ("x" for an int, null for a float, an
+        # infinite float for an int) failing the dataclass conversions
+        raise ParameterError(f"{origin}: invalid {kind}: {exc}") from exc

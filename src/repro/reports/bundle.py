@@ -35,7 +35,6 @@ from repro.experiments import (
     ENGINES,
     FAULT_MODELS,
     PATTERNS,
-    ROUTE_MODES,
     SOURCES,
 )
 from repro.simulator.shard_driver import ExperimentResult, ShardStats
@@ -71,7 +70,6 @@ def registry_versions() -> dict:
         "fault_models": list(FAULT_MODELS.names()),
         "patterns": list(PATTERNS.names()),
         "reports": list(REPORTS.names()),
-        "route_modes": list(ROUTE_MODES.names()),
         "sources": list(SOURCES.names()),
     }
 

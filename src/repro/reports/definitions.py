@@ -6,7 +6,7 @@
     delivery rate and latency percentiles versus i.i.d. node survival
     probability x machine size x offered load, with the paper's
     reconfiguration controller side-by-side against the spare-less
-    detour baseline (``route_mode="table"``).  Every surface point pools
+    detour baseline (compiled survivor tables).  Every surface point pools
     Monte-Carlo fault replicas across seeded traffic repetitions and
     carries a Wilson interval on delivery.
 
@@ -66,12 +66,8 @@ def _surface_grids(quick: bool) -> dict:
         engine="batch",
     )
     return {
-        "reconfig": ExperimentGrid(
-            controller="reconfig", route_mode="bfs", **shared
-        ),
-        "detour": ExperimentGrid(
-            controller="detour", route_mode="table", **shared
-        ),
+        "reconfig": ExperimentGrid(controller="reconfig", **shared),
+        "detour": ExperimentGrid(controller="detour", **shared),
     }
 
 

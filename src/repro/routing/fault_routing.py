@@ -150,7 +150,7 @@ def survivor_route_table(g: StaticGraph, faults) -> "RouteTable":
 
     This is the compile-once artifact
     :class:`repro.simulator.faults.DetourController` caches per fault
-    epoch when ``route_mode="table"`` — the cache keys on the frozen
+    epoch — the cache keys on the frozen
     fault set, so both fault *and* repair events (churn universes)
     invalidate it and the next routed batch recompiles against the
     current survivors.

@@ -31,7 +31,6 @@ __all__ = [
     "UNREACHABLE",
     "RouteTable",
     "compile_routing_table",
-    "compile_routing_table_frontier",
     "table_reachable",
     "table_routes_batch",
     "table_routes_batch_masked",
@@ -67,8 +66,8 @@ def compile_routing_table(g: StaticGraph, *, faulty=None) -> np.ndarray:
     the trivial self-route.
 
     Parent tie-breaking: the smallest hop-optimal neighbor id (lowest
-    CSR rank) — the same rule as :func:`compile_routing_table_frontier`
-    and the dict reference in the conformance harness, so all three are
+    CSR rank) — the same rule as the frontier and dict reference
+    compilers in the conformance harness, so all three are
     bit-identical; equal-length *paths* may still differ from the scalar
     discovery-order BFS in
     :func:`~repro.routing.shortest_path.bfs_parents`, which is why the
@@ -90,56 +89,6 @@ def compile_routing_table(g: StaticGraph, *, faulty=None) -> np.ndarray:
     table = hop_parent_table(n, indptr, indices)
     if dead is not None and dead.size:
         table[dead, dead] = UNREACHABLE  # no self-route to a dead endpoint
-    return table
-
-
-def compile_routing_table_frontier(g: StaticGraph) -> np.ndarray:
-    """Next-hop table via one frontier-at-a-time reverse BFS per destination.
-
-    The retained per-destination compiler: each BFS level is one
-    vectorized gather over the CSR arrays (the
-    :meth:`~repro.graphs.static_graph.StaticGraph.neighbors_batch`
-    idiom), with the first occurrence in gather order claiming the
-    parent — the frontier is sorted ascending, so that is the smallest
-    hop-optimal neighbor id, the *same* tie-break as the bitset kernel.
-    Kept as the bench reference (``driver="compile"``) and as the
-    independently-derived second witness the differential suite checks
-    bit-for-bit against :func:`compile_routing_table`.
-    """
-    n = g.node_count
-    table = np.full((n, n), UNREACHABLE, dtype=np.int64)
-    indptr, indices = g.indptr, g.indices
-    deg = np.diff(indptr)
-    for d in range(n):
-        parent = np.full(n, -1, dtype=np.int64)
-        parent[d] = d
-        frontier = np.array([d], dtype=np.int64)
-        while frontier.size:
-            counts = deg[frontier]
-            total = int(counts.sum())
-            if total == 0:
-                break
-            # gather every frontier node's neighbor slice in one shot:
-            # base[i] repeats the slice start, inner[i] counts 0..c-1
-            # within each slice
-            starts = indptr[frontier]
-            base = np.repeat(starts, counts)
-            ends = np.cumsum(counts)
-            inner = np.arange(total, dtype=np.int64) - np.repeat(
-                ends - counts, counts
-            )
-            nbrs = indices[base + inner]
-            owners = np.repeat(frontier, counts)
-            fresh = parent[nbrs] == -1
-            if not fresh.any():
-                break
-            nbrs, owners = nbrs[fresh], owners[fresh]
-            # first occurrence in gather order claims the parent
-            frontier, first = np.unique(nbrs, return_index=True)
-            parent[frontier] = owners[first]
-        reachable = parent >= 0
-        table[reachable, d] = parent[reachable]
-        table[d, d] = d
     return table
 
 

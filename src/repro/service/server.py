@@ -4,8 +4,8 @@
 validate incoming :class:`~repro.experiments.ExperimentSpec` /
 :class:`~repro.experiments.ExperimentGrid` JSON at the door (the same
 :func:`~repro.experiments.parse_run_payload` the CLI uses — a malformed
-payload is rejected with the registry's ``ParameterError`` message
-before any worker is touched) and enqueue jobs on the
+payload is rejected with a ``ParameterError`` message naming the
+registry or range check before any worker is touched) and enqueue jobs on the
 :class:`~repro.service.jobs.JobQueue`; a single
 :class:`~repro.service.jobs.JobRunner` thread schedules cells on one
 persistent :class:`~repro.simulator.pool.WorkerPool` shared across
@@ -44,6 +44,10 @@ from repro.service.jobs import TERMINAL, JobQueue, JobRunner
 __all__ = ["ExperimentService", "serve"]
 
 _JOB_ROUTE = re.compile(r"^/jobs/([^/]+)(?:/(result|stream|cancel))?$")
+
+#: Largest ``POST /experiments`` body accepted (1 MiB); a longer
+#: declared ``Content-Length`` gets 413 without the body being read.
+MAX_BODY_BYTES = 1 << 20
 
 
 def _expand(target, kind):
@@ -264,6 +268,11 @@ class _Handler(BaseHTTPRequestHandler):
         if length < 0:
             # rfile.read(-1) would block until the client hangs up
             return self._error(400, "Content-Length must be >= 0")
+        if length > MAX_BODY_BYTES:
+            return self._error(
+                413, f"request body of {length} bytes exceeds the "
+                     f"{MAX_BODY_BYTES}-byte limit"
+            )
         try:
             payload = json.loads(self.rfile.read(length) or b"null")
         except ValueError as exc:
@@ -273,7 +282,7 @@ class _Handler(BaseHTTPRequestHandler):
             priority = int(query.get("priority", ["0"])[0])
         except ValueError:
             return self._error(400, "priority must be an integer")
-        # validation at the door: registry errors carry the exact
+        # validation at the door: registry and range errors carry their
         # ParameterError message and no worker is ever touched
         try:
             target, kind = parse_run_payload(payload, origin="POST /experiments")

@@ -64,15 +64,13 @@ import numpy as np
 from repro.core.debruijn import debruijn
 from repro.core.fault_tolerant import ft_debruijn
 from repro.core.reconfiguration import Reconfigurator
-from repro.errors import ParameterError, RoutingError, SimulationError
+from repro.errors import ParameterError, SimulationError
 from repro.registry import Registry
 from repro.routing.fault_routing import (
-    detour_route,
     lifted_routes_batch,
     survivor_route_table,
 )
 from repro.routing.shift_register import shift_route
-from repro.simulator.batch_engine import pack_routes
 from repro.simulator.engines import make_engine
 from repro.simulator.events import EventQueue
 from repro.simulator.metrics import RunStats
@@ -80,7 +78,6 @@ from repro.simulator.metrics import RunStats
 __all__ = [
     "CONTROLLERS",
     "FAULT_MODELS",
-    "ROUTE_MODES",
     "FaultScenario",
     "ReconfigurationController",
     "DetourController",
@@ -89,15 +86,11 @@ __all__ = [
 ]
 
 #: Registry of fault-controller builders with the uniform signature
-#: ``(m, h, k, *, engine, link_capacity, route_mode, workers) -> controller``
+#: ``(m, h, k, *, engine, link_capacity, workers) -> controller``
 #: — the experiment spec layer builds controllers through it, and a new
 #: strategy (a different spare layout, an adaptive router) registers here
 #: instead of growing another string switch.
 CONTROLLERS = Registry("controller")
-
-#: Registry of the detour baseline's routing backends:
-#: ``name -> (controller, pairs) -> (flat, offsets, kept)``.
-ROUTE_MODES = Registry("route_mode")
 
 #: Registry of fault-universe generators: ``name -> realize(params, *,
 #: n, cycles, rng, graph) -> FaultScenario``.  Each entry also carries a
@@ -601,20 +594,13 @@ class DetourController:
     hosted on dead processors simply cannot send or receive (counted in
     ``unreachable_pairs``) — the §I degradation mode.
 
-    Two routing backends produce those detours, selected by
-    ``route_mode``:
-
-    * ``"bfs"`` (default) — one Python BFS per (src, dst) pair in the
-      survivor graph (:func:`repro.routing.fault_routing.detour_route`),
-      the reference implementation.
-    * ``"table"`` — one compiled
-      :class:`~repro.routing.tables.RouteTable` per *fault epoch*
-      (:func:`repro.routing.fault_routing.survivor_route_table`), cached
-      on the frozen fault set and invalidated by every fault event;
-      whole batches extract vectorized.  Routes are hop-optimal like the
-      BFS ones, but equal-length tie-breaking may differ — the
-      conformance suite (``tests/conformance/``) proves hop-count +
-      validity equivalence and pins table-mode outputs with goldens.
+    The detours come from one compiled
+    :class:`~repro.routing.tables.RouteTable` per *fault epoch*
+    (:func:`repro.routing.fault_routing.survivor_route_table`), cached on
+    the frozen fault set and invalidated by every fault event; whole
+    batches extract vectorized.  Routes are hop-optimal — the
+    conformance suite (``tests/conformance/``) checks admission and hop
+    counts against a per-pair BFS oracle and pins outputs with goldens.
 
     Faults arrive two ways: :meth:`fail_node` kills a node immediately,
     and :meth:`schedule` queues a :class:`FaultScenario` on the
@@ -625,12 +611,10 @@ class DetourController:
     """
 
     def __init__(self, m: int, h: int, *, engine: str = "object",
-                 link_capacity: int = 1, workers: int | None = None,
-                 route_mode: str = "bfs"):
+                 link_capacity: int = 1, workers: int | None = None):
         self.m, self.h = int(m), int(h)
         self.target = debruijn(m, h)
         self.engine = engine
-        self.route_mode = ROUTE_MODES.validate(route_mode)
         self.sim = make_engine(engine, self.target, link_capacity, workers)
         self.faults: set[int] = set()
         self.unreachable_pairs = 0
@@ -641,9 +625,9 @@ class DetourController:
         #: ReconfigurationController — streaming route caches key on it
         self.routing_epoch = 0
         self.events = EventQueue()
-        # route_mode="table" epoch cache: one compiled table per frozen
-        # fault set, invalidated by fail_node and repair_node (every
-        # fault and repair event funnels through them)
+        # epoch cache: one compiled survivor table per frozen fault set,
+        # invalidated by fail_node and repair_node (every fault and
+        # repair event funnels through them)
         self._table = None
         self._table_faults: frozenset[int] | None = None
 
@@ -712,7 +696,7 @@ class DetourController:
         self, pairs: np.ndarray, *, record: bool = True
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Detour routes for a batch of (src, dst) pairs under the
-        current fault set, via the configured ``route_mode`` backend.
+        current fault set.
 
         Returns ``(flat, offsets, kept)``: the engines' shared flattened
         route layout plus the indices of the pairs that are actually
@@ -722,30 +706,16 @@ class DetourController:
         ``record=False`` and accounts per injected epoch instead, so a
         mid-stream re-route of the same tail never double-counts."""
         pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
-        flat, offsets, kept = ROUTE_MODES.get(self.route_mode)(self, pairs)
+        flat, offsets, kept = self._route_pairs(pairs)
         if record:
             self.unreachable_pairs += int(pairs.shape[0] - kept.size)
         return flat, offsets, kept
 
-    def _bfs_routes(self, pairs: np.ndarray):
-        """Reference backend: per-pair BFS in the survivor graph."""
-        faults = sorted(self.faults)
-        routes: list[list[int]] = []
-        kept: list[int] = []
-        for i, (s, d) in enumerate(pairs):
-            try:
-                routes.append(detour_route(self.target, faults, int(s), int(d)))
-                kept.append(i)
-            except RoutingError:
-                pass
-        flat, offsets = pack_routes(routes)
-        return flat, offsets, np.asarray(kept, dtype=np.int64)
-
-    def _table_routes(self, pairs: np.ndarray):
-        """Compiled backend: one cached table per epoch, vectorized
-        extraction.  The survivor table encodes endpoint liveness too
-        (a faulty node's diagonal is the UNREACHABLE sentinel), so one
-        masked extraction decides admission and emits every route."""
+    def _route_pairs(self, pairs: np.ndarray):
+        """One cached table per epoch, vectorized extraction.  The
+        survivor table encodes endpoint liveness too (a faulty node's
+        diagonal is the UNREACHABLE sentinel), so one masked extraction
+        decides admission and emits every route."""
         rt = self.survivor_table()
         if pairs.shape[0] == 0:
             z = np.zeros(0, dtype=np.int64)
@@ -761,10 +731,10 @@ class DetourController:
 
     def run_workload(self, batches: list[np.ndarray], *,
                      max_cycles: int = 1_000_000) -> RunStats:
-        """Route (via the configured backend) and drain each batch,
-        firing scheduled fault events at batch boundaries (the detour
-        baseline drains whole batches, so that is its event granularity;
-        events due past the last simulated cycle never fire).
+        """Route and drain each batch, firing scheduled fault events at
+        batch boundaries (the detour baseline drains whole batches, so
+        that is its event granularity; events due past the last
+        simulated cycle never fire).
         ``engine="sharded"`` defers the drains and runs them as one
         parallel wave — with a fixed fault set the batches are
         independent and the merged statistics are bit-identical to the
@@ -783,18 +753,13 @@ class DetourController:
 
 
 # ---------------------------------------------------------------------------
-# registry entries: route modes and controller builders
+# registry entries: controller builders
 # ---------------------------------------------------------------------------
-
-ROUTE_MODES.register("bfs")(DetourController._bfs_routes)
-ROUTE_MODES.register("table")(DetourController._table_routes)
-
 
 @CONTROLLERS.register("reconfig")
 def _build_reconfig(m, h, k, *, engine="batch", link_capacity=1,
-                    route_mode="bfs", workers=None):
-    """The paper's machine: ``B^k_{m,h}`` + monotone remap (``route_mode``
-    does not apply — reconfigured routes are lifted shift-register paths)."""
+                    workers=None):
+    """The paper's machine: ``B^k_{m,h}`` + monotone remap."""
     return ReconfigurationController(
         m, h, k, engine=engine, link_capacity=link_capacity, workers=workers
     )
@@ -802,10 +767,9 @@ def _build_reconfig(m, h, k, *, engine="batch", link_capacity=1,
 
 @CONTROLLERS.register("detour")
 def _build_detour(m, h, k, *, engine="batch", link_capacity=1,
-                  route_mode="bfs", workers=None):
+                  workers=None):
     """The spare-less baseline on the bare target graph (``k`` does not
     apply — there are no spares to configure)."""
     return DetourController(
-        m, h, engine=engine, link_capacity=link_capacity,
-        route_mode=route_mode, workers=workers,
+        m, h, engine=engine, link_capacity=link_capacity, workers=workers,
     )

@@ -119,8 +119,8 @@ def run_stream(
     ``node_repair`` events (churn universes) ride the same clock: a
     repair bumps the controller's ``routing_epoch`` like a fault does,
     so the not-yet-injected tail is re-routed through the healed
-    machine — under ``route_mode="table"`` every repair epoch compiles
-    a fresh survivor table, one per distinct fault set.
+    machine — for the detour baseline every repair epoch compiles a
+    fresh survivor table, one per distinct fault set.
     """
     if cycles < 1:
         raise ParameterError("run_stream needs cycles >= 1")

@@ -16,7 +16,11 @@ implementation detail), it has to prove
 4. **pinned outputs** — the candidate's own results are frozen in golden
    files across every engine, so refactors cannot silently move it.
 
-This module holds the checkers the suite's test files share.  It is
+This module holds the checkers the suite's test files share, and the
+reference implementations they measure the shipped code against: the
+pure-dict :class:`DictGraph`, the per-destination frontier compiler
+(:func:`compile_routing_table_frontier`) and the per-pair BFS detour
+backend (:class:`BfsDetourController`).  It is
 imported as ``tests.conformance.harness`` (namespace package rooted at
 the repo checkout, the same idiom as ``tests.conftest``).
 """
@@ -25,11 +29,18 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.errors import RoutingError
 from repro.graphs.properties import bfs_distances
 from repro.graphs.static_graph import StaticGraph
+from repro.routing.fault_routing import detour_route
+from repro.routing.tables import UNREACHABLE
+from repro.simulator import DetourController, pack_routes
 
 __all__ = [
     "DictGraph",
+    "compile_routing_table_frontier",
+    "BfsDetourController",
+    "DETOUR_BACKENDS",
     "survivor_on_full_node_set",
     "iter_routes",
     "assert_valid_survivor_routes",
@@ -137,6 +148,83 @@ class DictGraph:
             if d not in dead:
                 table[d][d] = d
         return table
+
+
+def compile_routing_table_frontier(g: StaticGraph) -> np.ndarray:
+    """Next-hop table via one frontier-at-a-time reverse BFS per destination.
+
+    The per-destination reference compiler: each BFS level is one
+    vectorized gather over the CSR arrays (the
+    :meth:`~repro.graphs.static_graph.StaticGraph.neighbors_batch`
+    idiom), with the first occurrence in gather order claiming the
+    parent — the frontier is sorted ascending, so that is the smallest
+    hop-optimal neighbor id, the *same* tie-break as the bitset kernel.
+    An independently-derived second witness the differential suite
+    checks bit-for-bit against
+    :func:`repro.routing.tables.compile_routing_table`.
+    """
+    n = g.node_count
+    table = np.full((n, n), UNREACHABLE, dtype=np.int64)
+    indptr, indices = g.indptr, g.indices
+    deg = np.diff(indptr)
+    for d in range(n):
+        parent = np.full(n, -1, dtype=np.int64)
+        parent[d] = d
+        frontier = np.array([d], dtype=np.int64)
+        while frontier.size:
+            counts = deg[frontier]
+            total = int(counts.sum())
+            if total == 0:
+                break
+            # gather every frontier node's neighbor slice in one shot:
+            # base[i] repeats the slice start, inner[i] counts 0..c-1
+            # within each slice
+            starts = indptr[frontier]
+            base = np.repeat(starts, counts)
+            ends = np.cumsum(counts)
+            inner = np.arange(total, dtype=np.int64) - np.repeat(
+                ends - counts, counts
+            )
+            nbrs = indices[base + inner]
+            owners = np.repeat(frontier, counts)
+            fresh = parent[nbrs] == -1
+            if not fresh.any():
+                break
+            nbrs, owners = nbrs[fresh], owners[fresh]
+            # first occurrence in gather order claims the parent
+            frontier, first = np.unique(nbrs, return_index=True)
+            parent[frontier] = owners[first]
+        reachable = parent >= 0
+        table[reachable, d] = parent[reachable]
+        table[d, d] = d
+    return table
+
+
+class BfsDetourController(DetourController):
+    """The per-pair BFS detour backend, kept as the reference the
+    compiled survivor table is measured against: one Python BFS per
+    (src, dst) pair in the survivor graph
+    (:func:`repro.routing.fault_routing.detour_route`).  Admission and
+    hop counts must match :class:`~repro.simulator.DetourController`
+    exactly; equal-length paths may differ by tie-breaking."""
+
+    def _route_pairs(self, pairs: np.ndarray):
+        faults = sorted(self.faults)
+        routes: list[list[int]] = []
+        kept: list[int] = []
+        for i, (s, d) in enumerate(pairs):
+            try:
+                routes.append(detour_route(self.target, faults, int(s), int(d)))
+                kept.append(i)
+            except RoutingError:
+                pass
+        flat, offsets = pack_routes(routes)
+        return flat, offsets, np.asarray(kept, dtype=np.int64)
+
+
+#: The two detour backends the differential tests race, by name: the
+#: BFS oracle and the shipped compiled-table controller.
+DETOUR_BACKENDS = {"bfs": BfsDetourController, "table": DetourController}
 
 
 def survivor_on_full_node_set(g: StaticGraph, faults) -> StaticGraph:

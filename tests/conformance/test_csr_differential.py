@@ -37,11 +37,13 @@ from repro.graphs.static_graph import StaticGraph
 from repro.routing.tables import (
     UNREACHABLE,
     compile_routing_table,
-    compile_routing_table_frontier,
     table_routes_batch,
 )
 from repro.simulator import make_engine
-from tests.conformance.harness import DictGraph
+from tests.conformance.harness import (
+    DictGraph,
+    compile_routing_table_frontier,
+)
 
 # every registered builder, at a conformance-sized parameterization
 BUILDERS = {
@@ -158,7 +160,7 @@ class TestRandomGraphs:
     @settings(max_examples=30, deadline=None)
     @given(soup=edge_soups())
     def test_frontier_compiler_agrees(self, soup):
-        """The retained frontier compiler is a third independent witness."""
+        """The harness's frontier compiler is a third independent witness."""
         n, pairs = soup
         g = StaticGraph(n, pairs)
         assert np.array_equal(

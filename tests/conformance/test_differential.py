@@ -1,7 +1,8 @@
-"""Differential conformance: ``route_mode="table"`` vs the BFS reference.
+"""Differential conformance: the compiled survivor table vs the BFS oracle.
 
 Hypothesis drives random machine sizes x fault sets x batches through
-both :class:`~repro.simulator.faults.DetourController` backends and
+:class:`~repro.simulator.faults.DetourController` and the per-pair BFS
+reference (:class:`tests.conformance.harness.BfsDetourController`) and
 asserts the equivalence contract the tentpole lands under: identical
 admission decisions, identical per-pair hop counts, and independently
 verified validity + hop-optimality of every emitted route.  Paths
@@ -15,8 +16,8 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.simulator import DetourController
 from tests.conformance.harness import (
+    DETOUR_BACKENDS,
     assert_valid_survivor_routes,
     hop_histogram,
 )
@@ -27,7 +28,7 @@ SIZES = [(2, 3), (2, 4), (3, 3), (2, 5)]
 def _controllers(m, h, fault_nodes):
     pair = []
     for mode in ("bfs", "table"):
-        ctrl = DetourController(m, h, engine="batch", route_mode=mode)
+        ctrl = DETOUR_BACKENDS[mode](m, h, engine="batch")
         for v in fault_nodes:
             ctrl.fail_node(int(v))
         pair.append(ctrl)
@@ -119,7 +120,7 @@ class TestDifferential:
         pairs = make_pattern(32, "uniform", 400, np.random.default_rng(5))
         stats = {}
         for mode in ("bfs", "table"):
-            ctrl = DetourController(2, 5, engine="batch", route_mode=mode)
+            ctrl = DETOUR_BACKENDS[mode](2, 5, engine="batch")
             ctrl.fail_node(3)
             ctrl.fail_node(20)
             stats[mode] = (ctrl, ctrl.run_workload([pairs.copy()]))

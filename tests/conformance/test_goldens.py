@@ -1,7 +1,7 @@
-"""Golden conformance: ``route_mode="table"`` outputs are *pinned*.
+"""Golden conformance: the detour baseline's table outputs are *pinned*.
 
-The differential suite proves table mode equivalent to the BFS
-reference; this module freezes table mode against **itself** so future
+The differential suite proves the compiled survivor table equivalent to
+the BFS oracle; this module freezes the table against **itself** so future
 refactors (a faster compile, a different frontier order, a new engine)
 cannot silently move the outputs the repo publishes:
 
@@ -73,7 +73,7 @@ def _workload_batches():
 
 
 def run_workload_case(engine: str, faults) -> tuple[DetourController, object]:
-    ctrl = DetourController(M, H, engine=engine, route_mode="table",
+    ctrl = DetourController(M, H, engine=engine,
                             workers=0 if engine == "sharded" else None)
     ctrl.schedule(FaultScenario([tuple(f) for f in faults]))
     stats = ctrl.run_workload([b.copy() for b in _workload_batches()])
@@ -81,7 +81,7 @@ def run_workload_case(engine: str, faults) -> tuple[DetourController, object]:
 
 
 def run_stream_case(engine: str) -> tuple[DetourController, object]:
-    ctrl = DetourController(M, H, engine=engine, route_mode="table")
+    ctrl = DetourController(M, H, engine=engine)
     ctrl.schedule(FaultScenario([tuple(f) for f in STREAM_FAULTS]))
     src = PoissonSource(N, STREAM_RATE, seed=3)
     stats = run_stream(ctrl, src, cycles=240, warmup=40, window=40)

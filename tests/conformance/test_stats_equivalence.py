@@ -1,5 +1,6 @@
-"""Cross-mode statistics equivalence: table mode is exchangeable with
-the BFS reference for every count- and hop-derived statistic.
+"""Cross-backend statistics equivalence: the compiled survivor table is
+exchangeable with the BFS oracle for every count- and hop-derived
+statistic.
 
 What *is* guaranteed (and asserted here): identical admission decisions,
 identical delivered/dropped/injected counts, identical hop histograms —
@@ -20,7 +21,6 @@ import numpy as np
 import pytest
 
 from repro.simulator import (
-    DetourController,
     FaultScenario,
     PacketArrays,
     PoissonSource,
@@ -28,14 +28,15 @@ from repro.simulator import (
     make_pattern,
     run_stream,
 )
+from tests.conformance.harness import DETOUR_BACKENDS
 
 M, H, N = 2, 5, 32
 FAULTS = [3, 20]
 
 
 def _controller(mode, engine, capacity=1):
-    ctrl = DetourController(
-        M, H, engine=engine, route_mode=mode, link_capacity=capacity,
+    ctrl = DETOUR_BACKENDS[mode](
+        M, H, engine=engine, link_capacity=capacity,
         workers=0 if engine == "sharded" else None,
     )
     for v in FAULTS:
@@ -96,7 +97,7 @@ class TestClosedLoopEquivalence:
         for engine in ("object", "batch"):
             stats = {}
             for mode in ("bfs", "table"):
-                ctrl = DetourController(M, H, engine=engine, route_mode=mode)
+                ctrl = DETOUR_BACKENDS[mode](M, H, engine=engine)
                 stats[mode] = ctrl.run_workload(
                     [b.copy() for b in _batches(packets=200)]
                 )
@@ -112,7 +113,7 @@ class TestStreamingEquivalence:
         though in-flight contention may differ at the horizon."""
         results = {}
         for mode in ("bfs", "table"):
-            ctrl = DetourController(M, H, engine=engine, route_mode=mode)
+            ctrl = DETOUR_BACKENDS[mode](M, H, engine=engine)
             ctrl.schedule(FaultScenario([(0, 3), (80, 9)]))
             stats = run_stream(
                 ctrl, PoissonSource(N, 3.0, seed=7), cycles=300, warmup=50

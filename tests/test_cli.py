@@ -197,6 +197,22 @@ class TestMisc:
         assert main(["report", "FIG4"]) == 0
         assert "Bus implementation" in capsys.readouterr().out
 
+    def test_report_without_ids_runs_every_legacy_report(
+        self, capsys, monkeypatch
+    ):
+        """``repro report`` with no ids runs them all — it must not fall
+        back to ``sys.argv``, where ``report`` itself would look like an
+        unknown id."""
+        from repro.analysis import reporting
+
+        tiny = reporting.Report(exp_id="TINY", title="one tiny entry",
+                                body="tiny body")
+        monkeypatch.setattr(reporting, "_REGISTRY", {"TINY": lambda: tiny})
+        monkeypatch.setattr("sys.argv", ["repro", "report"])
+        assert main(["report"]) == 0
+        out = capsys.readouterr().out
+        assert "TINY: one tiny entry" in out and "tiny body" in out
+
     def test_no_command(self, capsys):
         with pytest.raises(SystemExit):
             main([])

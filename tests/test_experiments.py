@@ -17,6 +17,7 @@ The load-bearing claims:
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import json
 
 import numpy as np
@@ -25,16 +26,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cli import main
-from repro.errors import ParameterError
+from repro.errors import ParameterError, ReproError
 from repro.experiments import (
     CONTROLLERS,
     ENGINES,
     PATTERNS,
-    ROUTE_MODES,
     SOURCES,
     ExperimentGrid,
     ExperimentSpec,
     Registry,
+    parse_run_payload,
     run_grid,
 )
 
@@ -70,7 +71,8 @@ class TestRegistry:
     def test_live_registries_contents(self):
         assert set(ENGINES.names()) == {"object", "batch", "sharded"}
         assert set(CONTROLLERS.names()) == {"reconfig", "detour"}
-        assert set(ROUTE_MODES.names()) == {"bfs", "table"}
+        # the detour baseline has one routing path, not a registry
+        assert ExperimentSpec(m=2, h=4).route_mode == "table"
         assert {"poisson", "onoff", "deterministic"} <= set(SOURCES.names())
         assert {"uniform", "hotspot", "descend"} <= set(PATTERNS.names())
 
@@ -84,7 +86,7 @@ class TestSpecValidation:
         ("pattern", "rnig", "uniform"),
         ("controller", "psychic", "reconfig"),
         ("engine", "warp", "object"),
-        ("route_mode", "teleport", "bfs"),
+        ("route_mode", "teleport", "table"),
         ("source", "firehose", "poisson"),
     ])
     def test_unknown_names_raise_early_naming_choices(
@@ -92,6 +94,57 @@ class TestSpecValidation:
     ):
         with pytest.raises(ParameterError, match=f"{bad!r}.*{choices_hint}"):
             ExperimentSpec(m=2, h=4, **{field: bad})
+
+    def test_removed_bfs_route_mode_rejected(self):
+        with pytest.raises(ParameterError, match="'bfs' was removed.*table"):
+            ExperimentSpec(m=2, h=5, controller="detour", route_mode="bfs")
+        with pytest.raises(ParameterError, match="'bfs' was removed"):
+            ExperimentGrid(mhk=[(2, 4, 1)], route_mode="bfs")
+
+    @pytest.mark.parametrize("fields,match", [
+        ({"m": 1}, "base m must be >= 2"),
+        ({"m": -2}, "base m must be >= 2"),
+        ({"h": 0}, "h must be >= 3"),
+        ({"h": 1}, "h must be >= 3"),
+        ({"h": 2}, "h must be >= 3"),
+        ({"h": 0, "controller": "detour"}, "h must be >= 1"),
+        ({"h": 63, "controller": "detour"}, "2\\*\\*63"),
+        ({"k": -1}, "k must be >= 0"),
+        ({"packets": -5}, "packets must be >= 1"),
+        ({"packets": 0}, "packets must be >= 1"),
+        ({"seed": -1}, "seed must be >= 0"),
+        ({"link_capacity": 0}, "link_capacity must be >= 1"),
+        ({"max_cycles": 0}, "max_cycles must be >= 1"),
+        ({"cycles_per_batch": -1}, "cycles_per_batch must be >= 0"),
+        ({"loop": "stream", "window": -3}, "window must be >= 0"),
+        ({"loop": "stream", "rate": float("inf")}, "rate must be finite"),
+        ({"loop": "stream", "source": "onoff", "mean_on": 0}, "mean_on > 0"),
+        ({"loop": "stream", "source": "onoff", "mean_off": 0}, "mean_off > 0"),
+        ({"fault_model": {"name": "fixed", "faults": [[0, 99999]]}},
+         "fault node 99999 .* \\[0, 17\\)"),
+        ({"controller": "detour",
+          "fault_model": {"name": "fixed", "faults": [[0, 16]]}},
+         "fault node 16 .* \\[0, 16\\)"),
+        ({"controller": "detour",
+          "fault_model": {"name": "fixed", "faults": [[0, 3]],
+                          "repairs": [[5, 20]]}},
+         "fault node 20"),
+        ({"faults": ((0, -1),)}, "fault node -1"),
+    ])
+    def test_out_of_range_fields_rejected(self, fields, match):
+        """Bounds are checked at construction, so a spec bound to fail
+        never reaches a worker."""
+        kwargs = {"m": 2, "h": 4, "k": 1, "cycles": 300, "warmup": 50}
+        with pytest.raises(ParameterError, match=match):
+            ExperimentSpec(**{**kwargs, **fields})
+
+    def test_in_range_edges_accepted(self):
+        # a spare is a physical node of the reconfig machine
+        ExperimentSpec(m=2, h=4, k=1,
+                       fault_model={"name": "fixed", "faults": [[0, 16]]})
+        # the bare detour graph exists for any h >= 1
+        ExperimentSpec(m=2, h=1, controller="detour")
+        ExperimentSpec(m=2, h=4, k=0, seed=0, window=0)
 
     def test_registry_errors_are_valueerrors(self):
         with pytest.raises(ValueError):
@@ -131,6 +184,73 @@ class TestSpecValidation:
 
 
 # ---------------------------------------------------------------------------
+# the front door under fuzz: return or raise ReproError, nothing else
+# ---------------------------------------------------------------------------
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(max_size=6),
+    lambda kids: st.lists(kids, max_size=3)
+    | st.dictionaries(st.text(max_size=6), kids, max_size=3),
+    max_leaves=8,
+)
+_SPEC_FIELDS = st.dictionaries(
+    st.sampled_from([f.name for f in dataclasses.fields(ExperimentSpec)]),
+    _JSON, max_size=5,
+)
+_GRID_FIELDS = st.dictionaries(
+    st.sampled_from([f.name for f in dataclasses.fields(ExperimentGrid)]),
+    _JSON, max_size=5,
+)
+_PAYLOADS = st.one_of(
+    _JSON,
+    _SPEC_FIELDS,
+    # a valid base with fuzzed fields on top reaches the deeper checks
+    _SPEC_FIELDS.map(lambda d: {"m": 2, "h": 4, **d}),
+    st.one_of(_JSON, _SPEC_FIELDS).map(lambda d: {"experiment": d}),
+    st.one_of(_JSON, _GRID_FIELDS,
+              _GRID_FIELDS.map(lambda d: {"mhk": [[2, 4, 1]], **d}))
+    .map(lambda d: {"grid": d}),
+)
+
+
+class TestParseRunPayloadFuzz:
+    """The service maps :class:`~repro.errors.ReproError` to a 400, so
+    anything else escaping :func:`parse_run_payload` is a 500."""
+
+    @staticmethod
+    def _parse(payload):
+        try:
+            parse_run_payload(payload, origin="fuzz")
+        except ReproError:
+            pass
+
+    # the deprecated literal `faults` key warns on the way in; that is
+    # incidental here, not the behaviour under test
+    @pytest.mark.filterwarnings("ignore::DeprecationWarning")
+    @settings(max_examples=300, deadline=None)
+    @given(payload=_PAYLOADS)
+    def test_returns_or_raises_repro_error(self, payload):
+        self._parse(payload)
+
+    @pytest.mark.parametrize("payload", [
+        # int(inf) is an OverflowError, not a ValueError
+        {"m": 2, "h": float("inf")},
+        {"grid": {"mhk": [[2, 4, 1]], "seeds": [float("-inf")]}},
+        # a machine too large to address must not be computed
+        {"m": 2, "h": 10**12, "controller": "detour"},
+        {"m": 10**30, "h": 62, "controller": "detour"},
+        # a non-object under the wrapper (an AttributeError before)
+        {"experiment": []},
+        {"experiment": None},
+        {"grid": [1, 2]},
+    ])
+    def test_found_escapes_are_repro_errors(self, payload):
+        with pytest.raises(ReproError):
+            parse_run_payload(payload, origin="fuzz")
+
+
+# ---------------------------------------------------------------------------
 # exact JSON round-trip
 # ---------------------------------------------------------------------------
 
@@ -144,7 +264,6 @@ class TestJsonRoundTrip:
         loop=st.sampled_from(["closed", "stream"]),
         controller=st.sampled_from(["reconfig", "detour"]),
         engine=st.sampled_from(["object", "batch"]),
-        route_mode=st.sampled_from(["bfs", "table"]),
         source=st.sampled_from(["poisson", "onoff", "deterministic"]),
         pattern=st.sampled_from(["uniform", "hotspot", "descend"]),
         k=st.integers(min_value=2, max_value=4),
@@ -155,7 +274,7 @@ class TestJsonRoundTrip:
         n_faults=st.integers(min_value=0, max_value=2),
         link_capacity=st.integers(min_value=1, max_value=4),
     )
-    def test_round_trip_property(self, loop, controller, engine, route_mode,
+    def test_round_trip_property(self, loop, controller, engine,
                                  source, pattern, k, seed, packets, rate,
                                  n_faults, link_capacity):
         """spec -> to_json -> from_json is the identity, exactly —
@@ -163,7 +282,7 @@ class TestJsonRoundTrip:
         faults = tuple((7 * i, 3 + i) for i in range(n_faults))
         spec = ExperimentSpec(
             m=2, h=5, k=k, loop=loop, pattern=pattern,
-            controller=controller, engine=engine, route_mode=route_mode,
+            controller=controller, engine=engine,
             faults=faults, seed=seed, link_capacity=link_capacity,
             packets=packets, source=source, rate=rate,
         )

@@ -152,7 +152,7 @@ class TestFixedModelEquivalence:
 
 class TestReplicaDeterminism:
     SPEC = ExperimentSpec(
-        m=2, h=5, k=1, controller="detour", route_mode="table",
+        m=2, h=5, k=1, controller="detour",
         engine="batch", packets=300, replicas=6, seed=11,
         fault_model={"name": "iid", "p": 0.9},
     )
@@ -247,7 +247,7 @@ class TestEnableNode:
             sim.enable_node(3)
 
     def test_detour_repair_restores_routing(self):
-        ctrl = DetourController(2, 4, engine="batch", route_mode="table")
+        ctrl = DetourController(2, 4, engine="batch")
         ctrl.fail_node(3)
         pairs = np.array([[3, 5]], dtype=np.int64)
         _, _, kept = ctrl.detour_routes_batch(pairs)

@@ -3,8 +3,8 @@
 The load-bearing contracts:
 
 * **validation at the door** — an invalid spec is rejected with the
-  registry's ``ParameterError`` message and no worker process is ever
-  touched.
+  registry's or range check's ``ParameterError`` message and no worker
+  process is ever touched; an oversized body is refused unread.
 * **bit-identity** — a job submitted over HTTP produces rows and an
   aggregate bit-identical to ``repro run`` / :func:`run_grid` on the
   same JSON (wall-clock fields excluded).
@@ -26,6 +26,7 @@ import pytest
 
 from repro.experiments import parse_run_payload
 from repro.service import TERMINAL, ExperimentService, JobQueue
+from repro.service.server import MAX_BODY_BYTES
 from repro.simulator.shard_driver import ShardStats, run_grid
 
 GRID = {
@@ -103,11 +104,30 @@ class TestValidation:
         {"m": "x", "h": 4},
         {"m": 2, "h": 4, "rate": None},
         {"grid": {"mhk": [[2, 4]]}},
+        # out of range: rejected at the door, never a 202 for a job
+        # bound to fail inside a worker
+        {"m": 1, "h": 4},
+        {"m": -2, "h": 4},
+        {"m": 2, "h": 0},
+        {"m": 2, "h": 1, "controller": "reconfig"},
+        {"m": 2, "h": 2, "controller": "reconfig"},
+        {"m": 2, "h": 4, "packets": -5},
+        {"m": 2, "h": 4, "seed": -1},
+        {"m": 2, "h": 4, "link_capacity": 0},
+        {"m": 2, "h": 4, "max_cycles": 0},
+        {"m": 2, "h": 4, "loop": "stream", "source": "onoff", "mean_on": 0},
+        {"m": 2, "h": 4, "loop": "stream", "source": "onoff", "mean_off": 0},
+        {"m": 2, "h": 4, "loop": "stream", "window": -3},
+        {"m": 2, "h": 4, "k": 1,
+         "fault_model": {"name": "fixed", "faults": [[0, 99999]]}},
+        {"m": 2, "h": 4, "controller": "detour",
+         "fault_model": {"name": "fixed", "faults": [[0, 16]]}},
+        {"grid": {"mhk": [[2, 4, 1]], "route_mode": "bfs"}},
     ])
     def test_wrong_typed_field_rejected_not_dropped(self, service, payload):
-        """A TypeError/ValueError out of the spec dataclasses is a 400
-        naming the route — not a dead handler thread and an empty
-        reply."""
+        """A TypeError/ValueError out of the spec dataclasses, or a
+        value out of range, is a 400 naming the route — not a dead
+        handler thread, an empty reply, or a job that fails later."""
         code, error = _request_error(
             service.port, "/experiments", json.dumps(payload).encode()
         )
@@ -129,6 +149,27 @@ class TestValidation:
             assert "Content-Length" in json.loads(resp.read())["error"]
         finally:
             conn.close()
+
+    def test_oversized_body_rejected_unread(self, service):
+        """A declared length past the cap gets 413 before the body is
+        read (none is ever sent here), and no job is queued."""
+        import http.client
+
+        _, before = _request(service.port, "/jobs")
+        conn = http.client.HTTPConnection("127.0.0.1", service.port,
+                                          timeout=10)
+        try:
+            conn.putrequest("POST", "/experiments")
+            conn.putheader("Content-Length", str(MAX_BODY_BYTES + 1))
+            conn.endheaders()
+            resp = conn.getresponse()
+            assert resp.status == 413
+            assert "limit" in json.loads(resp.read())["error"]
+        finally:
+            conn.close()
+        _, after = _request(service.port, "/jobs")
+        assert after["jobs"] == before["jobs"] == []
+        assert service.pool.spawned == 0
 
     def test_non_json_body_rejected(self, service):
         code, error = _request_error(service.port, "/experiments", b"not json")

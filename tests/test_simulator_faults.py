@@ -14,6 +14,7 @@ from repro.simulator import (
     ReconfigurationController,
     uniform_traffic,
 )
+from tests.conformance.harness import DETOUR_BACKENDS
 
 
 class TestReconfigurationController:
@@ -112,18 +113,17 @@ class TestDetourController:
         assert st.delivered + det.unreachable_pairs == 200
 
     def test_rejects_unknown_route_mode(self):
-        # registry lookups raise a ValueError subclass naming the choices
-        from repro.errors import ParameterError
+        """The compiled survivor table is the only routing path, so the
+        controller takes no route_mode option at all."""
+        with pytest.raises(TypeError, match="route_mode"):
+            DetourController(2, 4, route_mode="table")
 
-        with pytest.raises(ParameterError, match="route_mode.*bfs.*table"):
-            DetourController(2, 4, route_mode="warp")
-
-    @pytest.mark.parametrize("route_mode", ["bfs", "table"])
-    def test_scheduled_fault_fires_at_batch_boundary(self, rng, route_mode):
+    @pytest.mark.parametrize("backend", ["bfs", "table"])
+    def test_scheduled_fault_fires_at_batch_boundary(self, rng, backend):
         """The detour baseline's event clock: a fault due mid-run fires
         before the next batch routes, so later batches detour around it
-        and traffic to it is refused."""
-        det = DetourController(2, 4, engine="batch", route_mode=route_mode)
+        and traffic to it is refused (shipped controller and BFS oracle)."""
+        det = DETOUR_BACKENDS[backend](2, 4, engine="batch")
         det.schedule(FaultScenario([(1, 5)]))
         to_dead = np.array([[0, 5]] * 10, dtype=np.int64)
         det.run_workload([uniform_traffic(16, 40, rng), to_dead])
@@ -142,13 +142,13 @@ class TestDetourController:
         det.fail_node(5)  # both packets still sit in node 5's queue
         assert det.lost_to_faults == 2
 
-    @pytest.mark.parametrize("route_mode", ["bfs", "table"])
-    def test_rejected_fault_node_does_not_poison_state(self, route_mode):
+    @pytest.mark.parametrize("backend", ["bfs", "table"])
+    def test_rejected_fault_node_does_not_poison_state(self, backend):
         """An out-of-range node must be rejected *before* it enters the
         fault set — otherwise every later routing batch would raise."""
         from repro.errors import SimulationError
 
-        det = DetourController(2, 4, engine="batch", route_mode=route_mode)
+        det = DETOUR_BACKENDS[backend](2, 4, engine="batch")
         with pytest.raises(SimulationError):
             det.fail_node(99)
         assert det.faults == set()
@@ -188,8 +188,7 @@ class TestFaultScenario:
     lambda: ReconfigurationController(2, 4, 1, engine="object"),
     lambda: ReconfigurationController(2, 4, 1, engine="batch"),
     lambda: DetourController(2, 4, engine="batch"),
-    lambda: DetourController(2, 4, engine="batch", route_mode="table"),
-], ids=["reconfig-object", "reconfig-batch", "detour-bfs", "detour-table"])
+], ids=["reconfig-object", "reconfig-batch", "detour-table"])
 def test_finished_controller_freed_without_gc(make, rng):
     """A controller holds its engine and route table; once dropped it
     must be freed by reference counting alone, not left in a cycle for

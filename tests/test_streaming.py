@@ -19,6 +19,7 @@ from repro.simulator import (
     run_grid,
     run_stream,
 )
+from tests.conformance.harness import DETOUR_BACKENDS
 
 
 def _records(ctrl) -> PacketArrays:
@@ -29,10 +30,10 @@ def _records(ctrl) -> PacketArrays:
 
 
 def _stream(engine, faults=(), *, controller="reconfig", rate=2.0,
-            cycles=300, warmup=50, window=50, capacity=1, route_mode="bfs"):
+            cycles=300, warmup=50, window=50, capacity=1, backend="table"):
     if controller == "detour":
-        ctrl = DetourController(2, 5, engine=engine, link_capacity=capacity,
-                                route_mode=route_mode)
+        ctrl = DETOUR_BACKENDS[backend](2, 5, engine=engine,
+                                        link_capacity=capacity)
         if faults:
             ctrl.schedule(FaultScenario(list(faults)))
     else:
@@ -67,26 +68,27 @@ class TestGoldenEquivalence:
         _, sb = _stream("batch", capacity=2, rate=6.0)
         assert so == sb
 
-    @pytest.mark.parametrize("route_mode", ["bfs", "table"])
-    def test_detour_streaming_identical(self, route_mode):
+    @pytest.mark.parametrize("backend", ["bfs", "table"])
+    def test_detour_streaming_identical(self, backend):
         co, so = _stream("object", ((0, 3),), controller="detour", rate=1.0,
-                         route_mode=route_mode)
+                         backend=backend)
         cb, sb = _stream("batch", ((0, 3),), controller="detour", rate=1.0,
-                         route_mode=route_mode)
+                         backend=backend)
         assert so == sb
         assert co.unreachable_pairs == cb.unreachable_pairs > 0
         assert so.unadmitted == co.unreachable_pairs
 
-    @pytest.mark.parametrize("route_mode", ["bfs", "table"])
-    def test_detour_mid_stream_fault_identical(self, route_mode):
+    @pytest.mark.parametrize("backend", ["bfs", "table"])
+    def test_detour_mid_stream_fault_identical(self, backend):
         """A detour fault firing *mid-stream* opens a new routing epoch
-        (for route_mode="table": recompiles the survivor table) — both
-        engines must agree packet-for-packet through the transition."""
+        (the shipped controller recompiles its survivor table; the BFS
+        oracle just routes around the new fault set) — both engines must
+        agree packet-for-packet through the transition."""
         faults = ((0, 3), (60, 9))
         co, so = _stream("object", faults, controller="detour", rate=3.0,
-                         route_mode=route_mode)
+                         backend=backend)
         cb, sb = _stream("batch", faults, controller="detour", rate=3.0,
-                         route_mode=route_mode)
+                         backend=backend)
         po, pb = _records(co), _records(cb)
         assert np.array_equal(po.injected_at, pb.injected_at)
         assert np.array_equal(po.delivered_at, pb.delivered_at)
@@ -106,8 +108,8 @@ class TestGoldenEquivalence:
 
 
 class TestDetourTableCache:
-    """route_mode="table" epoch cache: compile exactly once per frozen
-    fault set, recompile before the first arrival batch after a fault."""
+    """Detour epoch cache: compile exactly once per frozen fault set,
+    recompile before the first arrival batch after a fault."""
 
     def _spy_compiles(self, monkeypatch):
         import repro.simulator.faults as faults_mod
@@ -126,7 +128,7 @@ class TestDetourTableCache:
         from repro.simulator import make_pattern
 
         calls = self._spy_compiles(monkeypatch)
-        ctrl = DetourController(2, 5, engine="batch", route_mode="table")
+        ctrl = DetourController(2, 5, engine="batch")
         ctrl.fail_node(3)
         pairs = make_pattern(32, "uniform", 160, np.random.default_rng(1))
         ctrl.run_workload(list(np.array_split(pairs, 4)))
@@ -137,7 +139,7 @@ class TestDetourTableCache:
         self, monkeypatch
     ):
         calls = self._spy_compiles(monkeypatch)
-        ctrl = DetourController(2, 5, engine="batch", route_mode="table")
+        ctrl = DetourController(2, 5, engine="batch")
         ctrl.schedule(FaultScenario([(60, 9)]))
         run_stream(ctrl, PoissonSource(32, 2.0, seed=3), cycles=200)
         # epoch 0 (fault-free) + the post-fault epoch, nothing else —
@@ -154,23 +156,16 @@ class TestDetourTableCache:
         pass, so a cycle-0 scheduled fault costs one compile, not a
         discarded fault-free compile plus a recompile."""
         calls = self._spy_compiles(monkeypatch)
-        ctrl = DetourController(2, 5, engine="batch", route_mode="table")
+        ctrl = DetourController(2, 5, engine="batch")
         ctrl.schedule(FaultScenario([(0, 3)]))
         run_stream(ctrl, PoissonSource(32, 2.0, seed=3), cycles=100)
         assert calls == [frozenset({3})]
-
-    def test_bfs_mode_never_compiles(self, monkeypatch):
-        calls = self._spy_compiles(monkeypatch)
-        ctrl = DetourController(2, 5, engine="batch", route_mode="bfs")
-        ctrl.schedule(FaultScenario([(60, 9)]))
-        run_stream(ctrl, PoissonSource(32, 1.0, seed=3), cycles=100)
-        assert calls == []
 
     def test_repeated_fault_does_not_recompile(self, monkeypatch):
         """fail_node on an already-dead node bumps the epoch but leaves
         the frozen fault set unchanged — the cache key sees through it."""
         calls = self._spy_compiles(monkeypatch)
-        ctrl = DetourController(2, 4, engine="batch", route_mode="table")
+        ctrl = DetourController(2, 4, engine="batch")
         ctrl.fail_node(3)
         pairs = np.array([[0, 5], [1, 6]], dtype=np.int64)
         ctrl.detour_routes_batch(pairs)
@@ -183,7 +178,7 @@ class TestDetourTableCache:
         epoch, so the table recompiles against the healed survivor set —
         fault-free, post-fault, post-repair, one compile each."""
         calls = self._spy_compiles(monkeypatch)
-        ctrl = DetourController(2, 5, engine="batch", route_mode="table")
+        ctrl = DetourController(2, 5, engine="batch")
         ctrl.schedule(FaultScenario([(60, 9)], [(140, 9)]))
         run_stream(ctrl, PoissonSource(32, 2.0, seed=3), cycles=220)
         assert calls == [frozenset(), frozenset({9}), frozenset()]
@@ -204,7 +199,7 @@ class TestDetourTableCache:
             n=32, cycles=300, rng=np.random.default_rng([17, 0]),
         )
         assert scenario.node_faults and scenario.node_repairs
-        ctrl = DetourController(2, 5, engine="batch", route_mode="table")
+        ctrl = DetourController(2, 5, engine="batch")
         ctrl.schedule(scenario)
         run_stream(ctrl, PoissonSource(32, 2.0, seed=3), cycles=300)
         # every fault and repair fired at exactly its drawn cycle
@@ -220,7 +215,7 @@ class TestDetourTableCache:
         records and logs through a fail/heal cycle."""
         results = []
         for engine in ("object", "batch"):
-            ctrl = DetourController(2, 5, engine=engine, route_mode="table")
+            ctrl = DetourController(2, 5, engine=engine)
             ctrl.schedule(FaultScenario([(50, 9)], [(120, 9)]))
             stats = run_stream(ctrl, PoissonSource(32, 2.0, seed=3),
                                cycles=200)

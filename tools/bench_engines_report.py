@@ -22,15 +22,6 @@ Two row kinds:
   checks the merged aggregate is bit-identical.  The speedup scales with
   physical cores; single-core machines report ~1x or below (the workers
   column records what ran).
-* ``driver="detour"`` — the spare-less baseline's two routing backends
-  raced on one workload: per-pair Python BFS (``route_mode="bfs"``, the
-  reference) vs the compiled per-epoch ``RouteTable``
-  (``route_mode="table"``).  The generic (object, batch) columns hold
-  (bfs, table).  ``identical_stats`` here means the *conformance*
-  contract — equal admission/delivery/drop counts and equal hop
-  histograms — not bit-equal latencies (equal-length paths with
-  different tie-breaking contend differently; see
-  ``tests/conformance/``).
 * ``driver="pool"`` — the same scenario grid dispatched repeatedly,
   cold vs warm: the cold side builds an ephemeral worker pool per
   ``run_grid`` call (the historical spawn-per-sweep behavior), the warm
@@ -57,15 +48,6 @@ Two row kinds:
   the merged per-cell statistics *and* the exact aggregate — the proof
   that replica realization happens in the submitting process and is
   independent of where each task runs.
-* ``driver="compile"`` — the per-epoch survivor-table *compile* itself:
-  the retained frontier-at-a-time per-destination compiler (the PR-5
-  vectorization, one BFS per destination) vs the shipped bit-parallel
-  reach-bitset kernel that advances all destinations at once
-  (``repro.graphs.bitset``).  The generic columns hold (frontier,
-  bitset) seconds; because both implement the same smallest-neighbor
-  tie-break, ``identical_stats`` here is full **bit-equality** of the
-  two tables.  ``packets`` counts the reachable pairs; the simulation
-  columns are zero (no traffic runs).
 * ``driver="csr"`` — the CSR core's frontier-expansion primitive raced
   against its own dict-view fallback: BFS distance sweeps from a fixed
   source sample, once walking the lazily-built ``adjacency_dict()``
@@ -124,9 +106,7 @@ FULL_SUITE = [
     ("sweep", "uniform", 2, 9, 1, 40_000, [(0, 40)]),
     ("pool", "uniform", 2, 8, 1, 2_000, [(0, 40)]),
     ("shm", "uniform", 2, 9, 1, 40_000, [(0, 40)]),
-    ("detour", "uniform", 2, 8, 1, 20_000, [3, 40]),
     ("montecarlo", "uniform", 2, 9, 1, 10_000, []),
-    ("compile", "uniform", 2, 12, 1, 0, [3, 40]),
     ("csr", "uniform", 2, 14, 1, 0, []),
 ]
 QUICK_SUITE = [
@@ -135,9 +115,7 @@ QUICK_SUITE = [
     ("sweep", "uniform", 2, 7, 1, 4_000, [(0, 9)]),
     ("pool", "uniform", 2, 6, 1, 600, [(0, 9)]),
     ("shm", "uniform", 2, 7, 1, 4_000, [(0, 9)]),
-    ("detour", "uniform", 2, 6, 1, 3_000, [9]),
     ("montecarlo", "uniform", 2, 6, 1, 2_000, []),
-    ("compile", "uniform", 2, 7, 1, 0, [9]),
     ("csr", "uniform", 2, 7, 1, 0, []),
 ]
 
@@ -317,45 +295,6 @@ def run_shm_row(pattern, m, h, k, packets, faults, seed=0, workers=None):
     }
 
 
-def run_detour_row(pattern, m, h, k, packets, fault_nodes, seed=0):
-    """Race the detour baseline's BFS reference against the compiled
-    per-epoch route table on one workload (same engine, same traffic);
-    checks the conformance contract (counts + hop histograms), not
-    bit-equal latencies."""
-    from repro.simulator import DetourController
-    from repro.simulator.shard_driver import ShardStats
-
-    n = m ** h
-    pairs = make_pattern(n, pattern, packets, np.random.default_rng(seed))
-    times, stats, hists, unreachable = {}, {}, {}, {}
-    for mode in ("bfs", "table"):
-        ctrl = DetourController(m, h, engine="batch", route_mode=mode)
-        for node in fault_nodes:
-            ctrl.fail_node(int(node))
-        t0 = time.perf_counter()
-        stats[mode] = ctrl.run_workload([pairs.copy()])
-        times[mode] = time.perf_counter() - t0
-        hists[mode] = ShardStats.from_arrays(
-            ctrl.sim.packet_records(), ctrl.sim.cycle
-        )
-        unreachable[mode] = ctrl.unreachable_pairs
-    sb, st_ = stats["bfs"], stats["table"]
-    hb, ht = hists["bfs"], hists["table"]
-    identical = (
-        (sb.injected, sb.delivered, sb.dropped)
-        == (st_.injected, st_.delivered, st_.dropped)
-        and unreachable["bfs"] == unreachable["table"]
-        and np.array_equal(hb.hop_values, ht.hop_values)
-        and np.array_equal(hb.hop_counts, ht.hop_counts)
-    )
-    return times["bfs"], times["table"], st_, identical, int(pairs.shape[0]), {
-        "route_modes": ["bfs", "table"],
-        "unreachable_pairs": unreachable["table"],
-        "bfs_seconds": round(times["bfs"], 4),
-        "table_seconds": round(times["table"], 4),
-    }
-
-
 def run_montecarlo_row(pattern, m, h, k, packets, faults, seed=0,
                        workers=None, replicas=16):
     """Run one declarative Monte-Carlo cell — an ``iid`` fault universe
@@ -372,7 +311,7 @@ def run_montecarlo_row(pattern, m, h, k, packets, faults, seed=0,
     fault_model = {"name": "iid", "p": 0.9}
     spec = ExperimentSpec(
         m=m, h=h, k=k, pattern=pattern, packets=packets, seed=seed,
-        controller="detour", engine="batch", route_mode="table",
+        controller="detour", engine="batch",
         fault_model=fault_model, replicas=replicas,
     )
 
@@ -399,53 +338,6 @@ def run_montecarlo_row(pattern, m, h, k, packets, faults, seed=0,
         "workers": workers,
         "sequential_seconds": round(t_seq, 4),
         "pool_seconds": round(t_pool, 4),
-    }
-
-
-def run_compile_row(pattern, m, h, k, packets, fault_nodes, seed=0):
-    """Race the retained frontier-at-a-time per-destination compiler
-    against the bit-parallel reach-bitset kernel on one fault epoch.
-    Both implement the smallest-hop-optimal-neighbor tie-break, so the
-    check is full bit-equality of the two survivor tables."""
-    from types import SimpleNamespace
-
-    from repro.core.debruijn import debruijn
-    from repro.graphs.bitset import mask_nodes_csr
-    from repro.graphs.static_graph import StaticGraph
-    from repro.routing.fault_routing import survivor_route_table
-    from repro.routing.tables import UNREACHABLE, compile_routing_table_frontier
-
-    g = debruijn(m, h)
-    n = g.node_count
-    faults = sorted(int(v) for v in fault_nodes)
-    dead = np.array(faults, dtype=np.int64)
-
-    def frontier_compile():
-        # per-destination frontier BFS on the masked survivor CSR
-        alive = np.ones(n, dtype=bool)
-        alive[dead] = False
-        indptr, indices = mask_nodes_csr(n, g.row_offsets, g.col_indices, alive)
-        table = compile_routing_table_frontier(
-            StaticGraph.from_csr(n, indptr, indices)
-        )
-        table[dead, dead] = UNREACHABLE
-        return table
-
-    t0 = time.perf_counter()
-    frontier_table = frontier_compile()
-    t_frontier = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    bitset_table = survivor_route_table(g, faults).table
-    t_bitset = time.perf_counter() - t0
-
-    identical = np.array_equal(frontier_table, bitset_table)
-    reachable = int(np.count_nonzero(bitset_table != UNREACHABLE))
-    st = SimpleNamespace(cycles=0, delivered=0, dropped=0)
-    return t_frontier, t_bitset, st, identical, reachable, {
-        "nodes": n,
-        "faults_applied": len(faults),
-        "frontier_seconds": round(t_frontier, 4),
-        "bitset_seconds": round(t_bitset, 4),
     }
 
 
@@ -528,17 +420,9 @@ def run_config(driver, pattern, m, h, k, packets, faults, seed=0, workers=None):
         t_obj, t_bat, st, identical, count, extra = run_shm_row(
             pattern, m, h, k, packets, faults, seed, workers
         )
-    elif driver == "detour":
-        t_obj, t_bat, st, identical, count, extra = run_detour_row(
-            pattern, m, h, k, packets, faults, seed
-        )
     elif driver == "montecarlo":
         t_obj, t_bat, st, identical, count, extra = run_montecarlo_row(
             pattern, m, h, k, packets, faults, seed, workers
-        )
-    elif driver == "compile":
-        t_obj, t_bat, st, identical, count, extra = run_compile_row(
-            pattern, m, h, k, packets, faults, seed
         )
     elif driver == "csr":
         t_obj, t_bat, st, identical, count, extra = run_csr_row(
@@ -577,9 +461,8 @@ def main(argv=None) -> int:
         row = run_config(*cfg, workers=args.workers)
         rows.append(row)
         sides = {"sweep": ("single", "sharded"), "pool": ("cold", "warm"),
-                 "shm": ("pickle", "shm"), "detour": ("bfs", "table"),
+                 "shm": ("pickle", "shm"),
                  "montecarlo": ("sequential", "pool"),
-                 "compile": ("frontier", "bitset"),
                  "csr": ("dict", "csr")}
         left, right = sides.get(row["driver"], ("object", "batch"))
         print(
